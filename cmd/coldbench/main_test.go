@@ -95,7 +95,7 @@ func TestRunDijkstraExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "evaluator kernels") || !strings.Contains(s, "heap speedup") {
+	if !strings.Contains(s, "evaluator kernels") || !strings.Contains(s, "delta vs heap") || strings.Contains(s, "linear") {
 		t.Errorf("output malformed:\n%s", s)
 	}
 }

@@ -74,6 +74,22 @@ func newLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and a keep-alive connection is closed after idleTimeout without a
+// request, so slow or abandoned connections cannot pin server resources.
+// There is deliberately no write timeout: a large ensemble streams its
+// networks for as long as generation takes, and a write deadline would cut
+// it off mid-stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps h in the service's http.Server configuration.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func defaultCacheDir() string {
 	if dir, err := os.UserCacheDir(); err == nil {
 		return filepath.Join(dir, "coldd")
@@ -139,7 +155,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.handler()}
+	srv := newHTTPServer(s.handler())
 	fmt.Fprintf(os.Stderr, "coldd: listening on http://%s (cache %s)\n", ln.Addr(), st.Dir())
 
 	errc := make(chan error, 1)

@@ -257,9 +257,9 @@ type Network struct {
 
 	// Eval snapshots the context evaluator's counters at the moment this
 	// network was materialized: memoization hits/misses, full versus
-	// incremental evaluations, delta fallbacks by reason, and the selected
-	// shortest-path kernel. Counter values are not part of the determinism
-	// contract (see EvalStats) and are excluded from ExportJSON.
+	// incremental evaluations and delta fallbacks by reason. Counter values
+	// are not part of the determinism contract (see EvalStats) and are
+	// excluded from ExportJSON.
 	Eval EvalStats
 
 	routing *cost.Routing

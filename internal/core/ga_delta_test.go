@@ -61,7 +61,7 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 
 // TestRunDeltaOnOffBitIdentical: a full GA run with the incremental path
 // forced on equals the forced-off run bit for bit, serial and parallel,
-// for both Dijkstra kernels, across params with and without hub costs, and
+// across params with and without hub costs, and
 // for every multi-base cache size in {1, 4, 16} (1 reproduces the old
 // single-base behavior, 16 exceeds the GA's per-generation parent count so
 // nothing is ever evicted).
@@ -73,28 +73,26 @@ func TestRunDeltaOnOffBitIdentical(t *testing.T) {
 		{K0: 10, K1: 1, K2: 1e-3, K3: 25},
 	}
 	for _, p := range params {
-		for _, heap := range []cost.Switch{cost.ForceOff, cost.ForceOn} {
-			off, err := Run(ctxOptions(t, 16, p, 41, cost.Options{Heap: heap, Delta: cost.ForceOff}), s, 99)
+		off, err := Run(ctxOptions(t, 16, p, 41, cost.Options{Delta: cost.ForceOff}), s, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxBases := range []int{1, 4, 16} {
+			opts := cost.Options{Delta: cost.ForceOn, MaxBases: maxBases}
+			on, err := Run(ctxOptions(t, 16, p, 41, opts), s, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, maxBases := range []int{1, 4, 16} {
-				opts := cost.Options{Heap: heap, Delta: cost.ForceOn, MaxBases: maxBases}
-				on, err := Run(ctxOptions(t, 16, p, 41, opts), s, 99)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("delta on (heap=%v, maxBases=%d) vs off (serial)", heap, maxBases)
-				sameResult(t, label, on, off)
+			label := fmt.Sprintf("delta on (maxBases=%d) vs off (serial)", maxBases)
+			sameResult(t, label, on, off)
 
-				sp := s
-				sp.Parallelism = 3
-				onPar, err := Run(ctxOptions(t, 16, p, 41, opts), sp, 99)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, label+" parallel", onPar, off)
+			sp := s
+			sp.Parallelism = 3
+			onPar, err := Run(ctxOptions(t, 16, p, 41, opts), sp, 99)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameResult(t, label+" parallel", onPar, off)
 		}
 	}
 }

@@ -5,12 +5,12 @@
 //	Σ_{i∈E} (k0 + k1·ℓ_i + k2·ℓ_i·w_i)  +  k3·|{j : degree(j) > 1}|
 //
 // The Evaluator is the hot path of the whole system — the genetic algorithm
-// calls Cost on every candidate in every generation — so it routes with one
-// of two bit-identical Dijkstra kernels (an array-based linear scan for
-// small contexts, an indexed binary heap with decrease-key above
-// Options.HeapThreshold), accumulates link loads along shortest-path trees
-// in O(n) per source, reuses scratch buffers, and memoizes results by graph
-// hash (GA populations converge, so identical candidates recur constantly).
+// calls Cost on every candidate in every generation — so it routes with an
+// indexed binary-heap Dijkstra (decrease-key, ties toward lower node ids)
+// over a pooled CSR snapshot of the candidate, accumulates link loads along
+// shortest-path trees in O(n) per source, reuses scratch buffers, and
+// memoizes results by graph hash (GA populations converge, so identical
+// candidates recur constantly).
 // For the GA's small edits (single-link mutations) the incremental
 // CostDelta/EvaluateDelta path re-runs Dijkstra only from sources whose
 // shortest-path tree can be affected, with distance-bound pruning, and
@@ -137,10 +137,9 @@ type Evaluator struct {
 
 	n int
 
-	// Resolved Options: which Dijkstra kernel runs and whether the
-	// incremental delta path is live.
+	// Resolved Options: whether the incremental delta path is live and its
+	// limits.
 	opts        Options
-	useHeap     bool
 	deltaOn     bool
 	deltaBudget int
 	maxBases    int
@@ -155,12 +154,11 @@ type Evaluator struct {
 	dj struct {
 		dist     []float64
 		parent   []int32
-		done     []bool
 		order    []int32
 		acc      []float64
 		load     []float64    // n×n flattened link loads
-		hnodes   []int32      // heap kernel: node storage
-		hpos     []int32      // heap kernel: position index
+		hnodes   []int32      // heap: node storage
+		hpos     []int32      // heap: position index
 		affected []bool       // delta path: per-source recompute marks
 		diff     []graph.Edge // delta path: edge-diff scratch
 	}
@@ -207,8 +205,8 @@ type Evaluator struct {
 const DefaultCacheLimit = 1 << 16
 
 // NewEvaluator builds an evaluator for a context with default Options
-// (heap kernel and delta path on Auto). dist must be an n×n symmetric
-// matrix of PoP distances and tm an n-PoP traffic matrix.
+// (delta path on Auto). dist must be an n×n symmetric matrix of PoP
+// distances and tm an n-PoP traffic matrix.
 func NewEvaluator(dist [][]float64, tm *traffic.Matrix, params Params) (*Evaluator, error) {
 	return NewEvaluatorOptions(dist, tm, params, Options{})
 }
@@ -245,7 +243,6 @@ func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, op
 // setOptions resolves opts against the context size.
 func (e *Evaluator) setOptions(opts Options) {
 	e.opts = opts
-	e.useHeap = opts.Heap.enabled(e.n, opts.heapThreshold())
 	e.deltaOn = opts.Delta.enabled(e.n, opts.deltaThreshold())
 	e.deltaBudget = opts.deltaEdgeBudget()
 	e.maxBases = opts.maxBases()
@@ -255,15 +252,12 @@ func (e *Evaluator) initScratch() {
 	n := e.n
 	e.dj.dist = make([]float64, n)
 	e.dj.parent = make([]int32, n)
-	e.dj.done = make([]bool, n)
 	e.dj.order = make([]int32, n)
 	e.dj.acc = make([]float64, n)
 	e.dj.load = make([]float64, n*n)
+	e.dj.hnodes = make([]int32, 0, n)
+	e.dj.hpos = make([]int32, n)
 	e.csr.rowStart = make([]int32, n+1)
-	if e.useHeap {
-		e.dj.hnodes = make([]int32, 0, n)
-		e.dj.hpos = make([]int32, n)
-	}
 	if e.deltaOn {
 		e.dj.affected = make([]bool, n)
 	}
@@ -387,8 +381,8 @@ func (e *Evaluator) sumCost() float64 {
 
 // fillCSR rebuilds the pooled CSR snapshot for g: one bitset pass for the
 // columns, one flat pass resolving each slot's edge length from the
-// distance matrix. After it returns, the Dijkstra kernels and sumCost
-// operate on g without touching the Graph or the 2-D distance matrix.
+// distance matrix. After it returns, Dijkstra and sumCost operate on g
+// without touching the Graph or the 2-D distance matrix.
 func (e *Evaluator) fillCSR(g *graph.Graph) {
 	c := &e.csr
 	c.cols = g.AppendCSR(c.rowStart, c.cols[:0])
@@ -539,9 +533,9 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing, record bool) bool 
 // bit-identical.
 //
 // order must be exactly the finalized prefix of a Dijkstra run — order[:count]
-// with count the kernel's return value — and every caller must have verified
-// count == n first (loads over a partial tree are meaningless): the kernels
-// leave stale entries past count in their scratch after an early return on a
+// with count dijkstra's return value — and every caller must have verified
+// count == n first (loads over a partial tree are meaningless): dijkstra
+// leaves stale entries past count in its scratch after an early return on a
 // disconnected graph, and pushLoads trusts the slice bound it is handed
 // (TestScratchPoisoning proves nothing reads past it).
 //
@@ -564,62 +558,6 @@ func (e *Evaluator) pushLoads(s int, parent, order []int32) {
 		load[pv*n+v] += acc[v]
 		acc[pv] += acc[v]
 	}
-}
-
-// dijkstra computes shortest paths from src over the CSR snapshot (the
-// caller must have run fillCSR on the graph being evaluated), into the
-// scratch buffers, dispatching to the kernel selected by Options (linear
-// scan below the heap threshold, indexed heap above). Both kernels break
-// ties toward lower node indices and are bit-identical in distances,
-// parents and finalization order. The finalization order (increasing
-// distance) is recorded in e.dj.order; the return value is the number of
-// reachable (finalized) nodes — entries of e.dj.order past it are stale and
-// must not be read (consumers take order[:count]).
-func (e *Evaluator) dijkstra(src int) int {
-	if e.useHeap {
-		return e.dijkstraHeap(src)
-	}
-	return e.dijkstraLinear(src)
-}
-
-// dijkstraLinear is the array-based O(n²) kernel: for small PoP counts its
-// branch-free scan beats heap bookkeeping. Edge relaxation walks the flat
-// CSR slices — neighbor ids and pre-resolved edge lengths side by side —
-// instead of per-row bitsets and distance-matrix rows.
-func (e *Evaluator) dijkstraLinear(src int) int {
-	n := e.n
-	dist, parent, done, order := e.dj.dist, e.dj.parent, e.dj.done, e.dj.order
-	rowStart, cols, weights := e.csr.rowStart, e.csr.cols, e.csr.weights
-	for i := 0; i < n; i++ {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-		done[i] = false
-	}
-	dist[src] = 0
-	count := 0
-	for iter := 0; iter < n; iter++ {
-		u, best := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !done[i] && dist[i] < best {
-				u, best = i, dist[i]
-			}
-		}
-		if u < 0 {
-			return count // remaining nodes unreachable; order[count:] is stale
-		}
-		done[u] = true
-		order[count] = int32(u)
-		count++
-		du := dist[u]
-		for k := rowStart[u]; k < rowStart[u+1]; k++ {
-			v := cols[k]
-			if nd := du + weights[k]; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = int32(u)
-			}
-		}
-	}
-	return count
 }
 
 // RouteCost returns Σ_r t_r·L_r over all unordered PoP pairs: the

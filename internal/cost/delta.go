@@ -183,9 +183,6 @@ func (st *deltaState) nearest(g *graph.Graph, budget int) (int, int) {
 // Options returns the evaluator's resolved evaluation options.
 func (e *Evaluator) Options() Options { return e.opts }
 
-// UsesHeap reports whether the heap Dijkstra kernel is selected.
-func (e *Evaluator) UsesHeap() bool { return e.useHeap }
-
 // DeltaEnabled reports whether the incremental evaluation path is live.
 // When false, CostDelta and EvaluateDelta silently run full sweeps, so
 // callers can skip the bookkeeping (diffing graphs) entirely.

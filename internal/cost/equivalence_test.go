@@ -1,13 +1,16 @@
 package cost
 
-// Cross-implementation equivalence harness: the linear-scan Dijkstra, the
-// indexed-heap Dijkstra and the incremental delta path must agree BIT FOR
-// BIT on every output — total cost, per-link capacities, distances, parents
-// — across randomized graphs and every GA edit kind. No tolerances: the
-// memo cache and the determinism guarantees both assume the kernels are
-// interchangeable, so any drift is a bug.
+// Cross-implementation equivalence harness: the evaluator's Dijkstra must
+// match the textbook reference (reference_test.go) BIT FOR BIT on distances
+// and tie-broken parents, and the incremental delta path must match the
+// full sweep on every output — total cost, per-link capacities, distances,
+// parents — across randomized graphs and every GA edit kind. No
+// tolerances: the memo cache and the determinism guarantees both assume
+// the paths are interchangeable, so any drift is a bug.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,7 +20,7 @@ import (
 )
 
 // optionsContext builds a random n-PoP context with explicit evaluator
-// options (cache off so every call exercises the kernels).
+// options (cache off so every call routes from scratch).
 func optionsContext(t testing.TB, n int, seed int64, opts Options) *Evaluator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -73,32 +76,42 @@ func sameEvaluation(t *testing.T, label string, a, b *Evaluation) {
 	}
 }
 
-// TestHeapLinearEquivalence: the two Dijkstra kernels must produce
-// bit-identical evaluations — costs, capacities, distances, parents — on
-// 120 randomized graphs spanning sparse trees to near-cliques, connected
-// and disconnected.
-func TestHeapLinearEquivalence(t *testing.T) {
+// TestDijkstraMatchesReference: the evaluator's routing must equal the
+// reference Dijkstra's distances and tie-broken parents bit for bit on 120
+// randomized graphs spanning sparse trees to near-cliques, connected and
+// disconnected. Cost and RouteCost must agree with the same sweep exactly.
+func TestDijkstraMatchesReference(t *testing.T) {
 	cases := 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(37)
-		lin := optionsContext(t, n, seed, Options{Heap: ForceOff})
-		heap := optionsContext(t, n, seed, Options{Heap: ForceOn})
+		e := optionsContext(t, n, seed, Options{})
 		for _, p := range []float64{3.0 / float64(n), 0.3, 0.8} {
-			g := randomConnected(rng, n, p, lin.Dist())
+			g := randomConnected(rng, n, p, e.Dist())
 			if rng.Intn(3) == 0 && g.NumEdges() > 0 {
 				// Also cover disconnected graphs: drop a random edge
 				// without repair (often splits sparse graphs).
 				es := g.Edges()
-				e := es[rng.Intn(len(es))]
-				g.RemoveEdge(e.I, e.J)
+				edge := es[rng.Intn(len(es))]
+				g.RemoveEdge(edge.I, edge.J)
 			}
-			sameEvaluation(t, "heap vs linear", lin.Evaluate(g), heap.Evaluate(g))
-			if lin.Cost(g) != heap.Cost(g) {
-				t.Fatalf("seed %d n %d: Cost differs between kernels", seed, n)
+			ev := e.Evaluate(g)
+			label := fmt.Sprintf("seed %d n %d p %.2f", seed, n, p)
+			matchesReference(t, label, g, e.Dist(), ev.Routing)
+			if c := e.Cost(g); c != ev.Total {
+				t.Fatalf("%s: Cost %v != Evaluate total %v", label, c, ev.Total)
 			}
-			if lin.RouteCost(g) != heap.RouteCost(g) {
-				t.Fatalf("seed %d n %d: RouteCost differs between kernels", seed, n)
+			want := math.Inf(1)
+			if ev.Connected {
+				want = 0
+				for s := 0; s < n; s++ {
+					for d := s + 1; d < n; d++ {
+						want += e.Traffic().Demand[s][d] * ev.Routing.PathDist[s][d]
+					}
+				}
+			}
+			if rc := e.RouteCost(g); rc != want {
+				t.Fatalf("%s: RouteCost %v != Σ t·dist %v", label, rc, want)
 			}
 			cases++
 		}
@@ -158,19 +171,15 @@ func gaEdit(rng *rand.Rand, base *graph.Graph, dist [][]float64, kind int, repai
 
 // TestCostDeltaMatchesCost: for randomized (base, child) pairs produced by
 // every GA edit kind, CostDelta must return the bit-exact value of a fresh
-// full evaluation — under both Dijkstra kernels, with the delta path forced
-// on so small contexts exercise it too.
+// full evaluation, with the delta path forced on so small contexts
+// exercise it too.
 func TestCostDeltaMatchesCost(t *testing.T) {
 	cases := 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		n := 6 + rng.Intn(30)
-		heapSwitch := ForceOff
-		if seed%2 == 1 {
-			heapSwitch = ForceOn
-		}
-		ev := optionsContext(t, n, seed, Options{Heap: heapSwitch, Delta: ForceOn})
-		ref := optionsContext(t, n, seed, Options{Heap: heapSwitch, Delta: ForceOff})
+		ev := optionsContext(t, n, seed, Options{Delta: ForceOn})
+		ref := optionsContext(t, n, seed, Options{Delta: ForceOff})
 		base := randomConnected(rng, n, 0.3, ev.Dist())
 		for trial := 0; trial < 6; trial++ {
 			child, changed := gaEdit(rng, base, ev.Dist(), trial%3, trial%2 == 0)

@@ -1,10 +1,9 @@
 package cost
 
-// Kernel benchmarks behind the Options.HeapThreshold default: the linear
-// scan wins small-n, the heap wins large sparse-n, and the delta path beats
-// both on GA-style single-link edits. Run with:
+// Evaluation benchmarks: the full heap-Dijkstra sweep against the delta
+// path on GA-style single-link edits. Run with:
 //
-//	go test ./internal/cost -run '^$' -bench 'Evaluate(Linear|Heap|Delta)' -benchtime 3x
+//	go test ./internal/cost -run '^$' -bench 'Evaluate(Heap|Delta)' -benchtime 3x
 
 import (
 	"fmt"
@@ -22,27 +21,20 @@ func benchGraph(e *Evaluator, n int) *graph.Graph {
 	return randomConnected(rng, n, 6.0/float64(n), e.Dist())
 }
 
-func benchEvaluate(b *testing.B, n int, heap Switch) {
-	e := optionsContext(b, n, 1, Options{Heap: heap, Delta: ForceOff})
-	g := benchGraph(e, n)
-	if e.CostUncached(g) == 0 {
-		b.Fatal("zero cost")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.CostUncached(g)
-	}
-}
-
-func BenchmarkEvaluateLinear(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(sizeName(n), func(b *testing.B) { benchEvaluate(b, n, ForceOff) })
-	}
-}
-
+// BenchmarkEvaluateHeap measures one full sweep (CostUncached) per op.
 func BenchmarkEvaluateHeap(b *testing.B) {
 	for _, n := range benchSizes {
-		b.Run(sizeName(n), func(b *testing.B) { benchEvaluate(b, n, ForceOn) })
+		b.Run(sizeName(n), func(b *testing.B) {
+			e := optionsContext(b, n, 1, Options{Delta: ForceOff})
+			g := benchGraph(e, n)
+			if e.CostUncached(g) == 0 {
+				b.Fatal("zero cost")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.CostUncached(g)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@ package cost
 // bit-identity contracts that the rest of the system (memo cache, GA
 // determinism, golden fixtures) depends on:
 //
-//   FuzzDijkstraEquivalence — linear-scan vs heap Dijkstra full evaluations
+//   FuzzDijkstraEquivalence — evaluator routing vs the reference Dijkstra
 //   FuzzEvaluateDelta       — incremental delta walk vs fresh full sweeps
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/. CI runs each target for a
@@ -54,7 +54,8 @@ func fuzzGraph(n int, data []byte) *graph.Graph {
 }
 
 // FuzzDijkstraEquivalence: for any context and any graph — connected or not
-// — the two Dijkstra kernels must produce bit-identical evaluations.
+// — the evaluator's routing must equal the reference Dijkstra's distances
+// and tie-broken parents bit for bit, and Cost must equal Evaluate's total.
 func FuzzDijkstraEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{8, 0xff, 0x3c, 0x81})
 	f.Add(int64(42), []byte{20, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80})
@@ -63,26 +64,12 @@ func FuzzDijkstraEquivalence(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		lin := fuzzContext(t, seed, data[0], Options{Heap: ForceOff})
-		heap := fuzzContext(t, seed, data[0], Options{Heap: ForceOn})
-		g := fuzzGraph(lin.N(), data[1:])
-		evL, evH := lin.Evaluate(g), heap.Evaluate(g)
-		if evL.Total != evH.Total || evL.Connected != evH.Connected {
-			t.Fatalf("kernels disagree: linear %v/%v heap %v/%v",
-				evL.Total, evL.Connected, evH.Total, evH.Connected)
-		}
-		for i := range evL.Capacities {
-			if evL.Capacities[i] != evH.Capacities[i] {
-				t.Fatalf("capacity %d differs: %v vs %v", i, evL.Capacities[i], evH.Capacities[i])
-			}
-		}
-		for s := range evL.Routing.PathDist {
-			for v := range evL.Routing.PathDist[s] {
-				if evL.Routing.PathDist[s][v] != evH.Routing.PathDist[s][v] ||
-					evL.Routing.Parent[s][v] != evH.Routing.Parent[s][v] {
-					t.Fatalf("routing (%d,%d) differs", s, v)
-				}
-			}
+		e := fuzzContext(t, seed, data[0], Options{})
+		g := fuzzGraph(e.N(), data[1:])
+		ev := e.Evaluate(g)
+		matchesReference(t, "fuzz", g, e.Dist(), ev.Routing)
+		if c := e.Cost(g); c != ev.Total {
+			t.Fatalf("Cost %v != Evaluate total %v", c, ev.Total)
 		}
 	})
 }

@@ -6,10 +6,11 @@ import (
 
 // nodeHeap is an indexed binary min-heap of node ids keyed by the shared
 // tentative-distance array, with decrease-key support via a position index.
-// Ties are broken toward lower node ids, which makes the pop sequence the
-// exact finalization order of the linear-scan Dijkstra (lowest index among
-// equal distances) — the property that keeps the two kernels bit-identical
-// in distances, parents AND finalization order.
+// Ties are broken toward lower node ids, so among equal distances the node
+// with the lowest index is finalized first. That fixes the finalization
+// order, and with it the parents and the load accumulation order, for every
+// graph: routing is deterministic and Evaluate, Cost and the delta path stay
+// bit-identical.
 type nodeHeap struct {
 	dist  []float64 // shared with the Dijkstra scratch; never resized here
 	nodes []int32   // heap storage: nodes[0] is the minimum
@@ -87,15 +88,16 @@ func (h *nodeHeap) down(i int) {
 	h.pos[v] = int32(i)
 }
 
-// dijkstraHeap is the indexed-heap counterpart of dijkstraLinear: same
-// scratch buffers, same CSR snapshot, same outputs (distances, parents,
-// finalization order and reached count), bit-identical by construction.
-// O((n+m)·log n), which on the GA's sparse candidates beats the linear
-// scan's O(n²) once n clears the heap threshold. Like the linear kernel it
-// relaxes edges over the flat CSR slices — no bitset closure, no
-// distance-matrix row chase. Entries of e.dj.order past the returned count
-// are stale on disconnected graphs; consumers take order[:count].
-func (e *Evaluator) dijkstraHeap(src int) int {
+// dijkstra computes shortest paths from src over the CSR snapshot (the
+// caller must have run fillCSR on the graph being evaluated) into the
+// scratch buffers: distances in e.dj.dist, predecessors in e.dj.parent and
+// the finalization order (increasing distance, ties toward lower ids) in
+// e.dj.order. It runs in O((n+m)·log n) and relaxes edges over the flat CSR
+// slices — no bitset closure, no distance-matrix row chase. The return
+// value is the number of reachable (finalized) nodes; entries of e.dj.order
+// past it are stale on disconnected graphs, so consumers take
+// order[:count].
+func (e *Evaluator) dijkstra(src int) int {
 	n := e.n
 	dist, parent, order, pos := e.dj.dist, e.dj.parent, e.dj.order, e.dj.hpos
 	rowStart, cols, weights := e.csr.rowStart, e.csr.cols, e.csr.weights

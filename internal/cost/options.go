@@ -30,14 +30,6 @@ func (s Switch) String() string {
 
 // Defaults for the Options zero value.
 const (
-	// DefaultHeapThreshold is the context size at which Auto switches the
-	// per-source Dijkstra from the O(n²) linear scan to the indexed binary
-	// heap. Below it the linear scan's cache-friendly sweep is at least as
-	// fast; measured on amd64 the heap pulls ahead from n ≈ 24 on sparse
-	// GA candidates and n ≈ 32 even on near-cliques, reaching ~5× at
-	// n = 512 (BenchmarkEvaluateLinear vs BenchmarkEvaluateHeap).
-	DefaultHeapThreshold = 32
-
 	// DefaultDeltaThreshold is the context size at which Auto enables the
 	// incremental (delta) evaluation path. Below it a full sweep is cheap
 	// enough that the bookkeeping isn't worth the memory.
@@ -55,24 +47,12 @@ const (
 	DefaultMaxBases = 4
 )
 
-// Options tune how the Evaluator routes and evaluates. The zero value is
-// the production default: both the heap Dijkstra and the incremental delta
-// path on Auto, with the default thresholds. All selections change only
+// Options tune how the Evaluator evaluates. The zero value is the
+// production default: the incremental delta path on Auto, with the default
+// threshold, edge budget and base cap. All selections change only
 // speed and memory — every path returns bit-identical costs, loads and
 // routing (the equivalence test suite enforces this).
 type Options struct {
-	// Heap selects the per-source shortest-path kernel: Auto uses the
-	// indexed-heap Dijkstra for contexts with at least HeapThreshold PoPs
-	// and the linear scan below, ForceOn/ForceOff pin one kernel. Both
-	// kernels run over the same pooled CSR snapshot of the candidate graph
-	// (built once per evaluation, reused across all n sources), so the
-	// choice affects only the frontier-selection strategy.
-	Heap Switch
-
-	// HeapThreshold overrides the Auto cutover size; 0 means
-	// DefaultHeapThreshold.
-	HeapThreshold int
-
 	// Delta controls the incremental evaluation path (CostDelta,
 	// EvaluateDelta): Auto enables it for contexts with at least
 	// DeltaThreshold PoPs, ForceOn/ForceOff pin it. When off, the delta
@@ -101,31 +81,18 @@ type Options struct {
 
 // Validate rejects unknown switch states and negative thresholds.
 func (o Options) Validate() error {
-	for _, s := range []struct {
-		name string
-		val  Switch
-	}{{"Heap", o.Heap}, {"Delta", o.Delta}} {
-		if s.val > ForceOff {
-			return fmt.Errorf("cost: options: unknown %s switch %d", s.name, s.val)
-		}
+	if o.Delta > ForceOff {
+		return fmt.Errorf("cost: options: unknown Delta switch %d", o.Delta)
 	}
 	for _, v := range []struct {
 		name string
 		val  int
-	}{{"HeapThreshold", o.HeapThreshold}, {"DeltaThreshold", o.DeltaThreshold}, {"DeltaEdgeBudget", o.DeltaEdgeBudget}, {"MaxBases", o.MaxBases}} {
+	}{{"DeltaThreshold", o.DeltaThreshold}, {"DeltaEdgeBudget", o.DeltaEdgeBudget}, {"MaxBases", o.MaxBases}} {
 		if v.val < 0 {
 			return fmt.Errorf("cost: options: negative %s %d", v.name, v.val)
 		}
 	}
 	return nil
-}
-
-// heapThreshold resolves the Auto cutover size.
-func (o Options) heapThreshold() int {
-	if o.HeapThreshold > 0 {
-		return o.HeapThreshold
-	}
-	return DefaultHeapThreshold
 }
 
 // deltaThreshold resolves the Auto enable size.

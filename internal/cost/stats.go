@@ -165,18 +165,14 @@ type Stats struct {
 	BaseDistance []uint64
 	// MaxBases is the resolved retained-base cap of this evaluator.
 	MaxBases int
-	// Kernel is the Dijkstra kernel this evaluator resolved to: "heap" or
-	// "linear".
+	// Kernel names the shortest-path kernel. It is always "heap", the only
+	// one; the field stays so existing readers of the snapshot keep working.
 	Kernel string
 }
 
 // Stats returns the evaluator's current counter snapshot.
 func (e *Evaluator) Stats() Stats {
 	hits, misses := e.cache.stats()
-	kernel := "linear"
-	if e.useHeap {
-		kernel = "heap"
-	}
 	dist := make([]uint64, BaseDistBuckets)
 	for i := range dist {
 		dist[i] = e.counters.baseDist[i].Load()
@@ -201,7 +197,7 @@ func (e *Evaluator) Stats() Stats {
 			Affected:     e.counters.fallbacks[FallbackAffected].Load(),
 			Disconnected: e.counters.fallbacks[FallbackDisconnected].Load(),
 		},
-		Kernel: kernel,
+		Kernel: "heap",
 	}
 }
 

@@ -20,77 +20,65 @@ import (
 )
 
 // TestZeroAllocEvaluate pins steady-state full evaluations at zero
-// allocations under both Dijkstra kernels. The first call warms the pooled
-// CSR and scratch buffers; every later evaluation of same-size graphs must
-// reuse them outright.
+// allocations. The first call warms the pooled CSR and scratch buffers;
+// every later evaluation of same-size graphs must reuse them outright.
 func TestZeroAllocEvaluate(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		heap Switch
-	}{{"linear", ForceOff}, {"heap", ForceOn}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 48
-			e := optionsContext(t, n, 1, Options{Heap: tc.heap, Delta: ForceOff})
-			rng := rand.New(rand.NewSource(2))
-			g := randomConnected(rng, n, 6.0/n, e.Dist())
-			dense := randomConnected(rng, n, 0.6, e.Dist()) // larger CSR: warms cols/weights high-water
-			e.CostUncached(dense)
-			e.CostUncached(g)
-			for _, graphs := range [][]*graph.Graph{{g}, {g, dense}} {
-				i := 0
-				if allocs := testing.AllocsPerRun(20, func() {
-					e.CostUncached(graphs[i%len(graphs)])
-					i++
-				}); allocs != 0 {
-					t.Fatalf("steady-state CostUncached allocates %v objects/op, want 0", allocs)
-				}
+	t.Run("heap", func(t *testing.T) {
+		const n = 48
+		e := optionsContext(t, n, 1, Options{Delta: ForceOff})
+		rng := rand.New(rand.NewSource(2))
+		g := randomConnected(rng, n, 6.0/n, e.Dist())
+		dense := randomConnected(rng, n, 0.6, e.Dist()) // larger CSR: warms cols/weights high-water
+		e.CostUncached(dense)
+		e.CostUncached(g)
+		for _, graphs := range [][]*graph.Graph{{g}, {g, dense}} {
+			i := 0
+			if allocs := testing.AllocsPerRun(20, func() {
+				e.CostUncached(graphs[i%len(graphs)])
+				i++
+			}); allocs != 0 {
+				t.Fatalf("steady-state CostUncached allocates %v objects/op, want 0", allocs)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestZeroAllocEvaluateDelta pins steady-state incremental evaluations
-// (CostDelta against a primed base) at zero allocations, heap kernel and
-// linear kernel both.
+// (CostDelta against a primed base) at zero allocations.
 func TestZeroAllocEvaluateDelta(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		heap Switch
-	}{{"linear", ForceOff}, {"heap", ForceOn}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 64
-			e := optionsContext(t, n, 1, Options{Heap: tc.heap, Delta: ForceOn})
-			rng := rand.New(rand.NewSource(3))
-			base := randomConnected(rng, n, 6.0/n, e.Dist())
-			const kids = 8
-			children := make([]*graph.Graph, kids)
-			diffs := make([][]graph.Edge, kids)
-			for k := range children {
-				child := base.Clone()
-				i, j := rng.Intn(n), rng.Intn(n)
-				for i == j {
-					j = rng.Intn(n)
-				}
-				child.SetEdge(i, j, !child.HasEdge(i, j))
-				children[k] = child
-				diffs[k] = base.Diff(child, nil)
+	t.Run("heap", func(t *testing.T) {
+		const n = 64
+		e := optionsContext(t, n, 1, Options{Delta: ForceOn})
+		rng := rand.New(rand.NewSource(3))
+		base := randomConnected(rng, n, 6.0/n, e.Dist())
+		const kids = 8
+		children := make([]*graph.Graph, kids)
+		diffs := make([][]graph.Edge, kids)
+		for k := range children {
+			child := base.Clone()
+			i, j := rng.Intn(n), rng.Intn(n)
+			for i == j {
+				j = rng.Intn(n)
 			}
-			e.CostDelta(base, children[0], diffs[0]) // priming sweep, outside the pin
-			k := 0
-			if allocs := testing.AllocsPerRun(32, func() {
-				kk := k % kids
-				k++
-				e.CostDelta(base, children[kk], diffs[kk])
-			}); allocs != 0 {
-				t.Fatalf("steady-state CostDelta allocates %v objects/op, want 0", allocs)
-			}
-		})
-	}
+			child.SetEdge(i, j, !child.HasEdge(i, j))
+			children[k] = child
+			diffs[k] = base.Diff(child, nil)
+		}
+		e.CostDelta(base, children[0], diffs[0]) // priming sweep, outside the pin
+		k := 0
+		if allocs := testing.AllocsPerRun(32, func() {
+			kk := k % kids
+			k++
+			e.CostDelta(base, children[kk], diffs[kk])
+		}); allocs != 0 {
+			t.Fatalf("steady-state CostDelta allocates %v objects/op, want 0", allocs)
+		}
+	})
 }
 
 // poisonScratch fills every pooled buffer with values that make any stale
 // read detectable: NaN distances and loads, out-of-range node indices in
-// parent/order/hpos (indexing with one panics), done/affected all true. A
+// parent/order/hpos (indexing with one panics), affected all true. A
 // correct evaluation fully re-initializes everything it reads, so results
 // after poisoning must stay bit-identical to a fresh evaluator's.
 func poisonScratch(e *Evaluator) {
@@ -99,7 +87,6 @@ func poisonScratch(e *Evaluator) {
 	for i := 0; i < n; i++ {
 		e.dj.dist[i] = math.NaN()
 		e.dj.parent[i] = bad
-		e.dj.done[i] = true
 		e.dj.order[i] = bad
 		e.dj.acc[i] = math.NaN()
 	}
@@ -131,42 +118,37 @@ func poisonScratch(e *Evaluator) {
 // contract on pushLoads) would index out of range and panic, or fold NaN
 // into a load and diverge.
 func TestScratchPoisoning(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		heap Switch
-	}{{"linear", ForceOff}, {"heap", ForceOn}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 24
-			ev := optionsContext(t, n, 5, Options{Heap: tc.heap, Delta: ForceOn})
-			ref := optionsContext(t, n, 5, Options{Heap: tc.heap, Delta: ForceOff})
-			rng := rand.New(rand.NewSource(6))
-			g := randomConnected(rng, n, 0.25, ev.Dist())
+	t.Run("heap", func(t *testing.T) {
+		const n = 24
+		ev := optionsContext(t, n, 5, Options{Delta: ForceOn})
+		ref := optionsContext(t, n, 5, Options{Delta: ForceOff})
+		rng := rand.New(rand.NewSource(6))
+		g := randomConnected(rng, n, 0.25, ev.Dist())
 
+		poisonScratch(ev)
+		sameEvaluation(t, "poisoned full sweep", ev.Evaluate(g), ref.Evaluate(g))
+
+		// Disconnected graph: Dijkstra finalizes only one component and
+		// returns early, leaving order[count:] stale (and still poisoned).
+		iso := g.Clone()
+		for j := 1; j < n; j++ {
+			iso.RemoveEdge(0, j)
+		}
+		poisonScratch(ev)
+		if c := ev.Cost(iso); !math.IsInf(c, 1) {
+			t.Fatalf("disconnected cost = %v, want +Inf", c)
+		}
+
+		// The scratch is now a mix of poison and a half-finished sweep; a
+		// delta walk over connected and disconnected children must stay
+		// exact without ever reading the stale tails.
+		ev.Evaluate(g) // re-record the base
+		cur := g
+		for step := 0; step < 12; step++ {
+			child, changed := gaEdit(rng, cur, ev.Dist(), step%3, step%4 != 3)
 			poisonScratch(ev)
-			sameEvaluation(t, "poisoned full sweep", ev.Evaluate(g), ref.Evaluate(g))
-
-			// Disconnected graph: the kernels finalize only one component and
-			// early-return, leaving order[count:] stale (and still poisoned).
-			iso := g.Clone()
-			for j := 1; j < n; j++ {
-				iso.RemoveEdge(0, j)
-			}
-			poisonScratch(ev)
-			if c := ev.Cost(iso); !math.IsInf(c, 1) {
-				t.Fatalf("disconnected cost = %v, want +Inf", c)
-			}
-
-			// The scratch is now a mix of poison and a half-finished sweep; a
-			// delta walk over connected and disconnected children must stay
-			// exact without ever reading the stale tails.
-			ev.Evaluate(g) // re-record the base
-			cur := g
-			for step := 0; step < 12; step++ {
-				child, changed := gaEdit(rng, cur, ev.Dist(), step%3, step%4 != 3)
-				poisonScratch(ev)
-				sameEvaluation(t, "poisoned delta walk", ev.EvaluateDelta(child, changed), ref.Evaluate(child))
-				cur = child
-			}
-		})
-	}
+			sameEvaluation(t, "poisoned delta walk", ev.EvaluateDelta(child, changed), ref.Evaluate(child))
+			cur = child
+		}
+	})
 }

@@ -13,26 +13,21 @@ import (
 )
 
 // CSRHotPath measures the flat-memory CSR evaluation hot path: full-sweep
-// cost per evaluation for both Dijkstra kernels across context sizes, plus
-// the steady-state heap allocation per evaluation (which must be zero —
-// the CSR snapshot and all Dijkstra scratch are pooled on the evaluator
-// and only grow to their high-water capacity; TestZeroAllocEvaluate pins
-// the same property per kernel). The linear kernel is skipped above
-// n = 128 to keep smoke runs fast — its O(n²·sources) sweep is exactly
-// what the heap kernel exists to avoid.
+// cost per evaluation across context sizes, plus the steady-state heap
+// allocation per evaluation (which must be zero — the CSR snapshot and all
+// Dijkstra scratch are pooled on the evaluator and only grow to their
+// high-water capacity; TestZeroAllocEvaluate pins the same property).
 func CSRHotPath(o Options) *Table {
 	o = o.normalize()
 	sizes := []int{32, 64, 128, 256, 512}
-	const linearMaxN = 128
 	reps := max(o.Trials, 3)
 	t := &Table{
 		Title: "CSR evaluation hot path: full-sweep cost and steady-state allocation",
 		Notes: []string{
 			fmt.Sprintf("%d evaluations per cell on sparse GA-like candidates (~3 links/PoP)", reps),
-			fmt.Sprintf("linear kernel measured up to n = %d only (smoke-run budget)", linearMaxN),
 			"alloc B/op is the ReadMemStats delta over the timed evaluations; 0 = pooled scratch fully reused",
 		},
-		Columns: []string{"n", "linear µs", "heap µs", "alloc B/op", "csr builds"},
+		Columns: []string{"n", "heap µs", "alloc B/op", "csr builds"},
 	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(o.Seed))
@@ -52,40 +47,27 @@ func CSRHotPath(o Options) *Table {
 		}
 		g.Connect(dist)
 
-		timeEval := func(opts cost.Options) (us float64, allocPerOp float64, builds uint64) {
-			e, err := cost.NewEvaluatorOptions(dist, tm, params, opts)
-			if err != nil {
-				panic(err)
-			}
-			e.SetCacheLimit(0)
-			e.CostUncached(g) // warm the pooled CSR + scratch outside the timer
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				e.CostUncached(g)
-			}
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&after)
-			us = float64(elapsed.Microseconds()) / float64(reps)
-			allocPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(reps)
-			return us, allocPerOp, e.Stats().CSRBuilds
+		e, err := cost.NewEvaluator(dist, tm, params)
+		if err != nil {
+			panic(err)
 		}
-
-		linCell := "-"
-		if n <= linearMaxN {
-			linUS, _, _ := timeEval(cost.Options{Heap: cost.ForceOff})
-			linCell = fmt.Sprintf("%.0f", linUS)
+		e.SetCacheLimit(0)
+		e.CostUncached(g) // warm the pooled CSR + scratch outside the timer
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for r := 0; r < reps; r++ {
+			e.CostUncached(g)
 		}
-		heapUS, allocPerOp, builds := timeEval(cost.Options{Heap: cost.ForceOn})
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
 
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
-			linCell,
-			fmt.Sprintf("%.0f", heapUS),
-			fmt.Sprintf("%.0f", allocPerOp),
-			fmt.Sprintf("%d", builds),
+			fmt.Sprintf("%.0f", float64(elapsed.Microseconds())/float64(reps)),
+			fmt.Sprintf("%.0f", float64(after.TotalAlloc-before.TotalAlloc)/float64(reps)),
+			fmt.Sprintf("%d", e.Stats().CSRBuilds),
 		})
 	}
 	return t

@@ -11,25 +11,22 @@ import (
 	"github.com/networksynth/cold/internal/traffic"
 )
 
-// DijkstraKernels measures the evaluator's three evaluation paths — the
-// O(n²) linear-scan Dijkstra, the indexed-heap Dijkstra and the
-// incremental delta path on single-link edits — across context sizes, on
-// GA-like sparse candidates (~3 links per PoP). All three are bit-identical
-// in output (the cost package's equivalence suite proves it), so this table
-// is purely about speed: it documents the crossover behind
-// cost.DefaultHeapThreshold and the sibling-grouping payoff behind the GA's
-// lineage-based evaluation.
+// DijkstraKernels measures the evaluator's two evaluation paths — the full
+// heap-Dijkstra sweep and the incremental delta path on single-link edits —
+// across context sizes, on GA-like sparse candidates (~3 links per PoP).
+// Both are bit-identical in output (the cost package's equivalence suite
+// proves it), so this table is purely about speed: it documents the
+// sibling-grouping payoff behind the GA's lineage-based evaluation.
 func DijkstraKernels(o Options) *Table {
 	o = o.normalize()
 	sizes := []int{16, 32, 64, 128, 256}
 	reps := max(o.Trials, 3)
 	t := &Table{
-		Title: "evaluator kernels: linear vs heap vs incremental (sparse candidates, ~3 links/PoP)",
+		Title: "evaluator kernels: heap full sweep vs incremental delta (sparse candidates, ~3 links/PoP)",
 		Notes: []string{
 			fmt.Sprintf("%d evaluations per cell; delta = CostDelta on 1-link children of a primed base", reps),
-			fmt.Sprintf("auto kernel selection switches linear→heap at n >= %d", cost.DefaultHeapThreshold),
 		},
-		Columns: []string{"n", "linear µs", "heap µs", "heap speedup", "delta µs", "delta vs heap"},
+		Columns: []string{"n", "heap µs", "delta µs", "delta vs heap"},
 	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(o.Seed))
@@ -49,28 +46,21 @@ func DijkstraKernels(o Options) *Table {
 		}
 		g.Connect(dist)
 
-		timeEval := func(opts cost.Options) float64 {
-			e, err := cost.NewEvaluatorOptions(dist, tm, params, opts)
-			if err != nil {
-				panic(err)
-			}
-			e.SetCacheLimit(0)
-			e.CostUncached(g) // warm scratch buffers outside the timer
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				e.CostUncached(g)
-			}
-			return float64(time.Since(start).Microseconds()) / float64(reps)
-		}
-		linUS := timeEval(cost.Options{Heap: cost.ForceOff})
-		heapUS := timeEval(cost.Options{Heap: cost.ForceOn})
-
-		// Delta: 1-link children of g, base primed once outside the timer.
 		e, err := cost.NewEvaluatorOptions(dist, tm, params, cost.Options{Delta: cost.ForceOn})
 		if err != nil {
 			panic(err)
 		}
 		e.SetCacheLimit(0)
+
+		// Full sweep: CostUncached never reads or records a delta base.
+		e.CostUncached(g) // warm scratch buffers outside the timer
+		start := time.Now()
+		for r := 0; r < reps; r++ {
+			e.CostUncached(g)
+		}
+		heapUS := float64(time.Since(start).Microseconds()) / float64(reps)
+
+		// Delta: 1-link children of g, base primed once outside the timer.
 		children := make([]*graph.Graph, 8)
 		diffs := make([][]graph.Edge, len(children))
 		for k := range children {
@@ -84,7 +74,7 @@ func DijkstraKernels(o Options) *Table {
 			diffs[k] = g.Diff(child, nil)
 		}
 		e.CostDelta(g, children[0], diffs[0]) // primes the base
-		start := time.Now()
+		start = time.Now()
 		for r := 0; r < reps; r++ {
 			k := r % len(children)
 			e.CostDelta(g, children[k], diffs[k])
@@ -93,9 +83,7 @@ func DijkstraKernels(o Options) *Table {
 
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.0f", linUS),
 			fmt.Sprintf("%.0f", heapUS),
-			fmt.Sprintf("%.2fx", linUS/heapUS),
 			fmt.Sprintf("%.0f", deltaUS),
 			fmt.Sprintf("%.2fx", heapUS/deltaUS),
 		})

@@ -47,9 +47,6 @@ type EvalStats struct {
 	// delta evaluations whose chosen base was exactly d edge toggles away
 	// (last bucket absorbs larger distances). Omitted while all-zero.
 	BaseDistance []uint64 `json:"base_distance,omitempty"`
-	// Kernel is the shortest-path kernel the evaluator selected: "heap" or
-	// "linear". Empty in aggregated (multi-replica) stats.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 func newEvalStats(s cost.Stats) EvalStats {
@@ -64,7 +61,6 @@ func newEvalStats(s cost.Stats) EvalStats {
 		BaseMisses:    s.BaseMisses,
 		BaseEvictions: s.BaseEvictions,
 		BaseDistance:  nonZeroBuckets(s.BaseDistance),
-		Kernel:        s.Kernel,
 	}
 }
 
@@ -79,8 +75,8 @@ func nonZeroBuckets(h []uint64) []uint64 {
 	return nil
 }
 
-// add folds one replica's evaluator counters into the aggregate (Kernel is
-// per-evaluator, so it is dropped). Callers hold whatever lock guards a.
+// add folds one replica's evaluator counters into the aggregate. Callers
+// hold whatever lock guards a.
 func (a *EvalStats) add(s cost.Stats) {
 	a.CacheHits += s.CacheHits
 	a.CacheMisses += s.CacheMisses
