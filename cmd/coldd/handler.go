@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/diag"
@@ -83,6 +84,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	// Bound the body read (see bodyReadTimeout). A failed decode keeps the
+	// deadline, so draining the unread body after the error reply is
+	// bounded too; a successful one clears it, or it would cancel the
+	// streamed response.
+	rc := http.NewResponseController(w)
+	rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req generateRequest
@@ -91,6 +98,7 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
+	rc.SetReadDeadline(time.Time{})
 	count := req.Count
 	if count == 0 {
 		count = 1

@@ -75,13 +75,16 @@ func newLogger(level, format string) (*slog.Logger, error) {
 }
 
 // Connection timeouts. A client gets readHeaderTimeout to send its request
-// headers and a keep-alive connection is closed after idleTimeout without a
-// request, so slow or abandoned connections cannot pin server resources.
-// There is deliberately no write timeout: a large ensemble streams its
-// networks for as long as generation takes, and a write deadline would cut
-// it off mid-stream.
+// headers, then bodyReadTimeout to send a generate request's body (set per
+// request by handleGenerate and cleared once the body is decoded), and a
+// keep-alive connection is closed after idleTimeout without a request, so
+// slow or abandoned connections cannot pin server resources. There is
+// deliberately no write timeout, and no http.Server.ReadTimeout: a large
+// ensemble streams its networks for as long as generation takes, and a
+// whole-request deadline would cut it off mid-stream.
 const (
 	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 10 * time.Second
 	idleTimeout       = 120 * time.Second
 )
 

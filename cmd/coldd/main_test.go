@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,5 +44,37 @@ func TestSlowHeaderDisconnected(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < readHeaderTimeout/2 {
 		t.Fatalf("disconnected after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+}
+
+// TestSlowBodyDisconnected: a client that sends its headers and half a
+// generate request body and then stalls must get an error or be
+// disconnected once bodyReadTimeout passes, instead of holding its
+// connection (and handler goroutine) forever.
+func TestSlowBodyDisconnected(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, serverOptions{})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := tinyBody(1, 1)
+	half := body[:len(body)/2]
+	if _, err := fmt.Fprintf(conn, "POST /v1/generate HTTP/1.1\r\nHost: coldd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), half); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(bodyReadTimeout + 5*time.Second))
+	// ReadAll returns without error once the server closes the connection.
+	resp, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("connection with a half-sent body still open after %v: %v (read %q)", time.Since(start).Round(time.Second), err, resp)
+	}
+	if waited := time.Since(start); waited < bodyReadTimeout/2 {
+		t.Fatalf("answered after %v, before the %v body timeout: %q", waited, bodyReadTimeout, resp)
+	}
+	if len(resp) > 0 && !strings.HasPrefix(string(resp), "HTTP/1.1 400") {
+		t.Fatalf("want a 400 response or a bare disconnect, got %q", resp)
 	}
 }

@@ -81,6 +81,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, which
+// handleGenerate uses to set its body read deadline.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

@@ -61,3 +61,46 @@ func FuzzConfigHash(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNetworkJSON feeds arbitrary bytes to Network.UnmarshalJSON — the
+// decoder for stored artifacts — and checks that it never panics and that
+// whatever it accepts re-encodes stably: MarshalJSON → UnmarshalJSON →
+// MarshalJSON gives the same bytes. Run locally with e.g.
+//
+//	go test . -run '^$' -fuzz FuzzNetworkJSON -fuzztime 30s
+func FuzzNetworkJSON(f *testing.F) {
+	nw, err := Generate(Config{NumPoPs: 6, Seed: 3, Optimizer: OptimizerSpec{PopulationSize: 8, Generations: 4}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	generated, err := json.Marshal(nw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(generated)
+	f.Add([]byte(`{"points":[{"X":0,"Y":0},{"X":1,"Y":0}],"populations":[1,2],"links":[{"A":0,"B":1}],"Cost":{},"stats":{}}`))
+	f.Add([]byte(`{"points":[],"links":[{"A":0,"B":1}]}`))
+	f.Add([]byte(`{"points":null,"demand":[[0,1],[1]],"history":[1e308,-0]}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var first Network
+		if first.UnmarshalJSON(data) != nil {
+			return
+		}
+		enc, err := first.MarshalJSON()
+		if err != nil {
+			t.Fatalf("re-encoding a decoded network failed: %v", err)
+		}
+		var second Network
+		if err := second.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("decoding our own encoding failed: %v\n%s", err, enc)
+		}
+		again, err := second.MarshalJSON()
+		if err != nil {
+			t.Fatalf("re-encoding the round-tripped network failed: %v", err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("encoding not stable across a round trip:\n%s\n%s", enc, again)
+		}
+	})
+}

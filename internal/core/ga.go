@@ -626,10 +626,11 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 		weights = append(weights, inverseCostWeight(costs[pi]))
 	}
 	sc.parentW = weights
+	total := stats.WeightTotal(weights)
 	child := graph.New(ga.n)
 	for i := 0; i < ga.n; i++ {
 		for j := i + 1; j < ga.n; j++ {
-			p := pop[parents[stats.WeightedIndex(weights, rng)]]
+			p := pop[parents[stats.WeightedIndexTotal(weights, total, rng)]]
 			if p.HasEdge(i, j) {
 				child.AddEdge(i, j)
 			}

@@ -152,3 +152,31 @@ func TestScratchPoisoning(t *testing.T) {
 		}
 	})
 }
+
+// TestZeroAllocPathTable pins the add-one-link screen's steady state —
+// PathTable.Fill (one all-sources sweep over the pooled CSR and Dijkstra
+// scratch), AddLink and EstimateAddLink — at zero allocations.
+func TestZeroAllocPathTable(t *testing.T) {
+	const n = 30
+	e := optionsContext(t, n, 4, Options{})
+	rng := rand.New(rand.NewSource(5))
+	base := randomConnected(rng, n, 4.0/n, e.Dist())
+	tab := e.NewPathTable()
+	tab.Fill(base)
+	if allocs := testing.AllocsPerRun(20, func() {
+		tab.Fill(base)
+		for b := 1; b < n; b++ {
+			if !base.HasEdge(0, b) {
+				tab.EstimateAddLink(0, b)
+			}
+		}
+		for b := 1; b < n; b++ {
+			if !base.HasEdge(0, b) {
+				tab.AddLink(0, b)
+				break
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state PathTable fill/estimate/extend allocates %v objects/op, want 0", allocs)
+	}
+}

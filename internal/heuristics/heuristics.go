@@ -58,6 +58,19 @@ func Star(e *cost.Evaluator) Result {
 	return best
 }
 
+// starHub returns Star(e) and its hub: the node linked to every other
+// (the lowest such index when n == 2).
+func starHub(e *cost.Evaluator) (Result, int) {
+	n := e.N()
+	start := Star(e)
+	for v := 0; v < n; v++ {
+		if start.Graph.Degree(v) == n-1 {
+			return start, v
+		}
+	}
+	return start, -1
+}
+
 func starAt(n, hub int) *graph.Graph {
 	g := graph.New(n)
 	for v := 0; v < n; v++ {
@@ -80,14 +93,7 @@ type hubWiring func(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) []
 // improves.
 func growHubs(name string, e *cost.Evaluator, wire hubWiring) Result {
 	n := e.N()
-	start := Star(e)
-	hub0 := -1
-	for v := 0; v < n; v++ {
-		if start.Graph.Degree(v) == n-1 {
-			hub0 = v
-			break
-		}
-	}
+	start, hub0 := starHub(e)
 	if n == 1 {
 		return Result{Name: name, Graph: graph.New(1), Cost: e.Cost(graph.New(1))}
 	}
@@ -202,42 +208,95 @@ func HubMST(e *cost.Evaluator) Result {
 // single cheapest connecting link, then keeps adding links to other hubs
 // while each addition reduces total cost.
 func GreedyAttachment(e *cost.Evaluator) Result {
-	return growHubs("greedy-attach", e, greedyWire)
+	return growHubs("greedy-attach", e, newGreedyScreen(e).wire)
 }
 
-// greedyWire keeps prev inter-hub edges and attaches newHub greedily.
-func greedyWire(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int {
+// screenSlack is the relative tolerance ε of the greedy wiring's candidate
+// screen. It is a fixed constant, far above the estimate's rounding error
+// (below 1.2e-10, see cost.PathTable.EstimateAddLink), so the screen never
+// drops a candidate that could win.
+const screenSlack = 1e-9
+
+// greedyScreen is the reusable state of the greedy wiring shared by
+// GreedyAttachment and RandomGreedy: the current base graph's path table,
+// per-candidate cost estimates and link marks.
+type greedyScreen struct {
+	tab    *cost.PathTable
+	est    []float64
+	linked []bool
+}
+
+func newGreedyScreen(e *cost.Evaluator) *greedyScreen {
+	n := e.N()
+	return &greedyScreen{tab: e.NewPathTable(), est: make([]float64, n), linked: make([]bool, n)}
+}
+
+// wire keeps prev inter-hub edges and attaches newHub greedily: first the
+// single link that minimizes network cost, then further links while each
+// decreases it.
+//
+// Every candidate is the current base graph plus one link {h, newHub}, so
+// each phase first estimates all candidates from the base's path table
+// (cost.PathTable.EstimateAddLink, O(n²) and no Dijkstra) and runs the
+// exact, memoized Cost only on those whose estimate could still win: within
+// 2ε of the smallest estimate and, in the optional phases, within ε of the
+// cost to beat. The estimate is within ε of the exact cost, so the true
+// winner and every exact tie pass the screen, and the unchanged selection
+// rule (strict <, first candidate wins) picks the same link as costing
+// every candidate would. When no estimate exists (a non-linear link cost)
+// every candidate passes.
+func (gs *greedyScreen) wire(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int {
 	edges := append([][2]int(nil), prev...)
 	others := hubs[:len(hubs)-1]
-	// Mandatory first link: the one minimizing resulting network cost.
-	bestH, bestC := -1, math.Inf(1)
-	for _, h := range others {
-		cand := append(append([][2]int(nil), edges...), [2]int{h, newHub})
-		if c := e.Cost(assemble(e, hubs, cand)); c < bestC {
+	base := assemble(e, hubs, edges)
+	gs.tab.Fill(base)
+	clear(gs.linked)
+	// The mandatory first link has no cost to beat; each optional link must
+	// beat the cost of the graph before it, carried forward from the pick.
+	h, c := gs.pick(e, base, others, newHub, math.Inf(1))
+	for h >= 0 {
+		edges = append(edges, [2]int{h, newHub})
+		base.AddEdge(h, newHub)
+		gs.linked[h] = true
+		gs.tab.AddLink(h, newHub)
+		h, c = gs.pick(e, base, others, newHub, c)
+	}
+	return edges
+}
+
+// pick returns the unlinked hub h among others whose link {h, newHub}
+// gives base its lowest cost below bound (the first such hub on ties), with
+// that cost, or -1 when no candidate beats bound.
+func (gs *greedyScreen) pick(e *cost.Evaluator, base *graph.Graph, others []int, newHub int, bound float64) (int, float64) {
+	cut, minEst := math.Inf(1), math.Inf(1)
+	screened := true
+	for i, h := range others {
+		if gs.linked[h] {
+			continue
+		}
+		est, ok := gs.tab.EstimateAddLink(h, newHub)
+		if !ok {
+			screened = false
+			break
+		}
+		gs.est[i] = est
+		minEst = min(minEst, est)
+	}
+	if screened {
+		cut = min(minEst*(1+2*screenSlack), bound*(1+screenSlack))
+	}
+	bestH, bestC := -1, bound
+	for i, h := range others {
+		if gs.linked[h] || screened && gs.est[i] > cut {
+			continue
+		}
+		g := base.Clone()
+		g.AddEdge(h, newHub)
+		if c := e.Cost(g); c < bestC {
 			bestH, bestC = h, c
 		}
 	}
-	edges = append(edges, [2]int{bestH, newHub})
-	linked := map[int]bool{bestH: true}
-	// Optional further links while they decrease cost.
-	for {
-		curC := e.Cost(assemble(e, hubs, edges))
-		bestH, bestC = -1, curC
-		for _, h := range others {
-			if linked[h] {
-				continue
-			}
-			cand := append(append([][2]int(nil), edges...), [2]int{h, newHub})
-			if c := e.Cost(assemble(e, hubs, cand)); c < bestC {
-				bestH, bestC = h, c
-			}
-		}
-		if bestH < 0 {
-			return edges
-		}
-		edges = append(edges, [2]int{bestH, newHub})
-		linked[bestH] = true
-	}
+	return bestH, bestC
 }
 
 // RandomGreedy runs the paper's Random Greedy algorithm: iterate over PoPs
@@ -251,15 +310,10 @@ func RandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result {
 		g := graph.New(1)
 		return Result{Name: "random-greedy", Graph: g, Cost: e.Cost(g)}
 	}
+	// Every permutation starts from the same best star.
+	start, hub0 := starHub(e)
+	gs := newGreedyScreen(e)
 	for p := 0; p < perms; p++ {
-		start := Star(e)
-		hub0 := -1
-		for v := 0; v < n; v++ {
-			if start.Graph.Degree(v) == n-1 {
-				hub0 = v
-				break
-			}
-		}
 		hubs := []int{hub0}
 		var hubEdges [][2]int
 		cur := start.Graph
@@ -269,7 +323,7 @@ func RandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result {
 				continue
 			}
 			cand := append(append([]int(nil), hubs...), v)
-			edges := greedyWire(e, cand, hubEdges, v)
+			edges := gs.wire(e, cand, hubEdges, v)
 			g := assemble(e, cand, edges)
 			if c := e.Cost(g); c < curC {
 				cur, curC = g, c

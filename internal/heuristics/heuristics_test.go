@@ -272,6 +272,16 @@ func BenchmarkComplete(b *testing.B) {
 	}
 }
 
+// BenchmarkAllPaperN30 times the GA's seeding step at the paper's scale:
+// every heuristic on a fresh n=30 context with the default parameters, so
+// each iteration starts from an empty memoization cache, as a request does.
+func BenchmarkAllPaperN30(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		e := ctx(b, 30, cost.DefaultParams(), int64(i%8))
+		All(e, rand.New(rand.NewSource(int64(i))))
+	}
+}
+
 func BenchmarkBruteForceN6(b *testing.B) {
 	e := ctx(b, 6, cost.DefaultParams(), 1)
 	b.ResetTimer()

@@ -174,6 +174,13 @@ func Poisson(mean float64, rng *rand.Rand) int {
 // It panics if no weight is positive or any weight is negative or NaN. The
 // GA uses it with weights 1/cost for parent selection.
 func WeightedIndex(weights []float64, rng Source) int {
+	return WeightedIndexTotal(weights, WeightTotal(weights), rng)
+}
+
+// WeightTotal validates weights for WeightedIndexTotal and returns their
+// sum, panicking under the same conditions as WeightedIndex. Callers that
+// draw repeatedly from one weight vector total it once.
+func WeightTotal(weights []float64) float64 {
 	var total float64
 	for _, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -184,6 +191,13 @@ func WeightedIndex(weights []float64, rng Source) int {
 	if total <= 0 {
 		panic("stats: all weights zero")
 	}
+	return total
+}
+
+// WeightedIndexTotal is WeightedIndex with the weights' total precomputed
+// by WeightTotal; given that total it consumes the same draw and returns
+// the same index.
+func WeightedIndexTotal(weights []float64, total float64, rng Source) int {
 	r := rng.Float64() * total
 	for i, w := range weights {
 		r -= w

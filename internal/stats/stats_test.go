@@ -169,6 +169,19 @@ func TestWeightedIndex(t *testing.T) {
 	}
 }
 
+// TestWeightedIndexTotalMatches: drawing with a precomputed WeightTotal
+// consumes the same draws and returns the same indices as WeightedIndex.
+func TestWeightedIndexTotalMatches(t *testing.T) {
+	weights := []float64{0.3, 1e-9, 0, 2.5, 1.0 / 3, 7}
+	total := WeightTotal(weights)
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := 0; i < 10000; i++ {
+		if x, y := WeightedIndex(weights, a), WeightedIndexTotal(weights, total, b); x != y {
+			t.Fatalf("draw %d: WeightedIndex %d, WeightedIndexTotal %d", i, x, y)
+		}
+	}
+}
+
 func TestWeightedIndexPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, ws := range [][]float64{{0, 0}, {-1, 2}, {math.NaN()}} {
@@ -179,6 +192,14 @@ func TestWeightedIndexPanics(t *testing.T) {
 				}
 			}()
 			WeightedIndex(ws, rng)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WeightTotal(%v) should panic", ws)
+				}
+			}()
+			WeightTotal(ws)
 		}()
 	}
 }
