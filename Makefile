@@ -42,17 +42,20 @@ bench-smoke:
 	$(GO) run ./cmd/coldbench -trials 4 -n 16 -pop 24 -gens 12 -json BENCH_COLD.json ensemble breeding bases csr
 
 # Short fuzzing smoke on the evaluator equivalence targets, the screened
-# greedy heuristics, the coldd request-config path and the artifact
-# decoder (CI runs this; raise FUZZTIME locally for a longer run). Corpora
-# live under <package>/testdata/fuzz/.
+# greedy heuristics, crossover's draw skipping against the per-pair
+# oracle, the coldd request-config path, the artifact decoder and the
+# `coldstats trace` parser (CI runs this; raise FUZZTIME locally for a
+# longer run). Corpora live under <package>/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzEvaluateDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/heuristics -run '^$$' -fuzz FuzzGreedyScreen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCrossoverDraws -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzConfigHash -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzNetworkJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/coldstats -run '^$$' -fuzz FuzzTraceParse -fuzztime $(FUZZTIME)
 
 # Ensemble-scale validation smoke: the determinism/self-comparison pins
 # first (byte-identical records and scorecard at Parallelism 1 vs 8, the

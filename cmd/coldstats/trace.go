@@ -171,7 +171,7 @@ func (tr *traceRun) add(ev *traceEvent) {
 // file's tail half) are collected into an implicit headless run.
 func parseTrace(rd io.Reader) (runs []*traceRun, lines int, err error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	var cur *traceRun
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -313,11 +313,12 @@ func printConvergence(w io.Writer, tr *traceRun) {
 	}
 	if ok0 && okN && first > last {
 		impr := first - last
+		// The first generation within 90% of the improvement. Only the
+		// recorded generations are visited: a trace may claim any index.
 		reached := tr.maxGen
-		for g := 0; g <= tr.maxGen; g++ {
-			if best, _, _, _, ok := mean(g); ok && first-best >= 0.9*impr {
+		for g := range tr.gens {
+			if best, _, _, _, ok := mean(g); ok && g >= 0 && g < reached && first-best >= 0.9*impr {
 				reached = g
-				break
 			}
 		}
 		fmt.Fprintf(w, "    best cost %.4f -> %.4f (-%.1f%%), 90%% of the improvement by gen %d\n",

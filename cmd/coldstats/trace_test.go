@@ -12,7 +12,7 @@ import (
 )
 
 // recordTrace runs a small traced ensemble and returns the trace path.
-func recordTrace(t *testing.T, runID string, count int) string {
+func recordTrace(t testing.TB, runID string, count int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
@@ -77,11 +77,8 @@ func TestTraceSubcommand(t *testing.T) {
 	}
 }
 
-// TestParseTrace covers the parser's edge cases with handwritten JSONL:
-// v1 events (no run_id), multiple runs per file, headless tails, and the
-// error paths.
-func TestParseTrace(t *testing.T) {
-	v1 := `{"v":1,"event":"run_start","replicas":1,"workers":1,"n":5,"pop":4,"gens":2}
+// traceV1 is a handwritten schema-v1 trace of one run (no run_id).
+var traceV1 = `{"v":1,"event":"run_start","replicas":1,"workers":1,"n":5,"pop":4,"gens":2}
 {"v":1,"event":"replica_start","replica":0,"worker":0,"queue_ns":10}
 {"v":1,"event":"generation","replica":0,"gen":0,"best":9.5,"mean":11,"worst":12,"diversity":2,"elite_survived":0,"breed_ns":5,"eval_ns":6,"evals":4}
 {"v":1,"event":"generation","replica":0,"gen":1,"best":8.5,"mean":9,"worst":10,"diversity":1,"elite_survived":2,"breed_ns":5,"eval_ns":6,"evals":8}
@@ -90,8 +87,17 @@ func TestParseTrace(t *testing.T) {
 {"v":1,"event":"replica_end","replica":0,"worker":0,"dur_ns":100,"cost":8.5,"links":4}
 {"v":1,"event":"run_end","replicas":1,"workers":1,"dur_ns":120,"busy_ns":100,"utilization":0.83,"cache_hits":3,"cache_misses":5,"full_sweeps":5}
 `
+
+// traceHeadless is the tail of a trace whose head was lost.
+var traceHeadless = `{"v":2,"event":"replica_end","replica":3,"worker":1,"dur_ns":50,"cost":4,"links":3}
+`
+
+// TestParseTrace covers the parser's edge cases with handwritten JSONL:
+// v1 events (no run_id), multiple runs per file, headless tails, and the
+// error paths.
+func TestParseTrace(t *testing.T) {
 	t.Run("v1", func(t *testing.T) {
-		runs, lines, err := parseTrace(strings.NewReader(v1))
+		runs, lines, err := parseTrace(strings.NewReader(traceV1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +118,7 @@ func TestParseTrace(t *testing.T) {
 	})
 
 	t.Run("two runs", func(t *testing.T) {
-		runs, _, err := parseTrace(strings.NewReader(v1 + v1))
+		runs, _, err := parseTrace(strings.NewReader(traceV1 + traceV1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +130,7 @@ func TestParseTrace(t *testing.T) {
 	t.Run("headless tail", func(t *testing.T) {
 		// A trace whose head was lost: events before any run_start still
 		// group into an implicit run instead of being dropped.
-		tail := `{"v":2,"event":"replica_end","replica":3,"worker":1,"dur_ns":50,"cost":4,"links":3}
-`
-		runs, _, err := parseTrace(strings.NewReader(tail))
+		runs, _, err := parseTrace(strings.NewReader(traceHeadless))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -262,16 +263,42 @@ type Network struct {
 	// excluded from ExportJSON.
 	Eval EvalStats
 
-	routing *cost.Routing
-	adj     [][]bool
-	stats   metrics.Summary
+	routing  *cost.Routing
+	linkKeys []uint64 // sorted linkKey of every link, for HasLink
+	stats    metrics.Summary
 }
 
 // N returns the number of PoPs.
 func (nw *Network) N() int { return len(nw.Points) }
 
-// HasLink reports whether PoPs i and j are directly linked.
-func (nw *Network) HasLink(i, j int) bool { return nw.adj[i][j] }
+// HasLink reports whether PoPs i and j are directly linked. It panics if i
+// or j is not a PoP index.
+func (nw *Network) HasLink(i, j int) bool {
+	if n := nw.N(); i < 0 || i >= n || j < 0 || j >= n {
+		panic(fmt.Sprintf("cold: HasLink(%d, %d) out of range for %d PoPs", i, j, n))
+	}
+	_, ok := slices.BinarySearch(nw.linkKeys, linkKey(i, j))
+	return ok
+}
+
+// linkKey packs the unordered PoP pair {i, j} into one sortable word.
+func linkKey(i, j int) uint64 {
+	if i > j {
+		i, j = j, i
+	}
+	return uint64(i)<<32 | uint64(j)
+}
+
+// indexLinks returns the sorted keys of links: HasLink's index, linear in
+// the number of links whatever the number of PoPs.
+func indexLinks(links []Link) []uint64 {
+	keys := make([]uint64, len(links))
+	for k, l := range links {
+		keys[k] = linkKey(l.A, l.B)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
 
 // Path returns the PoP sequence of the shortest (by physical length) route
 // from s to d, inclusive; nil if s == d is false and no route exists
@@ -796,13 +823,6 @@ func materialize(cfg Config, sc *synthContext, g *graph.Graph, history []float64
 		Bandwidth: ev.BandwidthCost,
 		Node:      ev.NodeCost,
 	}
-	nw.adj = make([][]bool, n)
-	for i := range nw.adj {
-		nw.adj[i] = make([]bool, n)
-	}
-	for _, l := range nw.Links {
-		nw.adj[l.A][l.B] = true
-		nw.adj[l.B][l.A] = true
-	}
+	nw.linkKeys = indexLinks(nw.Links)
 	return nw, nil
 }

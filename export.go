@@ -52,14 +52,7 @@ func (nw *Network) UnmarshalJSON(data []byte) error {
 	nw.Links = raw.Links
 	nw.Cost = raw.Cost
 	nw.History = raw.History
-	nw.adj = make([][]bool, n)
-	for i := range nw.adj {
-		nw.adj[i] = make([]bool, n)
-	}
-	for _, l := range nw.Links {
-		nw.adj[l.A][l.B] = true
-		nw.adj[l.B][l.A] = true
-	}
+	nw.linkKeys = indexLinks(nw.Links)
 	nw.routing = nil
 	nw.stats.N = raw.Stats.NumPoPs
 	nw.stats.Edges = raw.Stats.NumLinks

@@ -102,3 +102,44 @@ func TestParseExportFormat(t *testing.T) {
 		t.Error("unknown format String() should be diagnostic")
 	}
 }
+
+// TestDecodeAdjacencyLinearInLinks: decoding must not build an n×n
+// adjacency for n points. That matrix took n+1 allocations and n² bytes,
+// so a small artifact listing many points could exhaust memory; HasLink's
+// index now grows with the links alone.
+func TestDecodeAdjacencyLinearInLinks(t *testing.T) {
+	const n = 4000
+	var b strings.Builder
+	b.WriteString(`{"points":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`{"X":0,"Y":0}`)
+	}
+	b.WriteString(`],"links":[{"A":3999,"B":7}]}`)
+	data := []byte(b.String())
+	var nw Network
+	allocs := testing.AllocsPerRun(3, func() {
+		nw = Network{}
+		if err := json.Unmarshal(data, &nw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n/10 {
+		t.Fatalf("decoding %d points and one link takes %v allocations, want at most %d", n, allocs, n/10)
+	}
+	if !nw.HasLink(7, 3999) || !nw.HasLink(3999, 7) || nw.HasLink(0, 1) || nw.HasLink(7, 7) {
+		t.Fatal("HasLink disagrees with the decoded links")
+	}
+	for _, pair := range [][2]int{{-1, 0}, {0, n}, {n, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("HasLink(%d, %d) on %d PoPs must panic", pair[0], pair[1], n)
+				}
+			}()
+			nw.HasLink(pair[0], pair[1])
+		}()
+	}
+}

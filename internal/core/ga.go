@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -327,12 +328,14 @@ type lineage struct {
 }
 
 // breedScratch holds the per-goroutine buffers offspring construction
-// reuses: the partial Fisher–Yates pool for tournament draws, the parent
-// weights, the absent-pair pool for link mutation, and the neighbor buffer
-// for node mutation. One scratch is never shared between goroutines.
+// reuses: the partial Fisher–Yates pool for tournament draws, the crossover
+// parents and their weights, the absent-pair pool for link mutation, and
+// the neighbor buffer for node mutation. One scratch is never shared
+// between goroutines.
 type breedScratch struct {
 	idx     []int
 	parentW []float64
+	parentG []*graph.Graph
 	pairs   []int
 	nbuf    []int
 }
@@ -621,21 +624,13 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 	cand := sc.sampleIndices(len(pop), b, rng)
 	parents := bestIndices(cand, a)
 
-	weights := sc.parentW[:0]
+	weights, pgs := sc.parentW[:0], sc.parentG[:0]
 	for _, pi := range parents {
 		weights = append(weights, inverseCostWeight(costs[pi]))
+		pgs = append(pgs, pop[pi])
 	}
-	sc.parentW = weights
-	total := stats.WeightTotal(weights)
-	child := graph.New(ga.n)
-	for i := 0; i < ga.n; i++ {
-		for j := i + 1; j < ga.n; j++ {
-			p := pop[parents[stats.WeightedIndexTotal(weights, total, rng)]]
-			if p.HasEdge(i, j) {
-				child.AddEdge(i, j)
-			}
-		}
-	}
+	sc.parentW, sc.parentG = weights, pgs
+	child := inheritLinks(ga.n, pgs, weights, stats.WeightTotal(weights), rng)
 	child.Connect(ga.e.Dist())
 	best, bestD := parents[0], child.DiffCount(pop[parents[0]])
 	for _, pi := range parents[1:] {
@@ -644,6 +639,48 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 		}
 	}
 	return child, best
+}
+
+// inheritLinks builds a crossover child on n PoPs: every PoP pair, in
+// lexicographic order, copies its link state from a parent drawn with
+// probability weights[p]/total, one draw per pair. A pair on which all
+// parents agree needs no draw — the child inherits the agreed state — so
+// the stream skips its draw; a contested pair takes its draw at its exact
+// position, and a final skip leaves the stream where the per-pair loop
+// would. The parents' rows are compared a word at a time: the child starts
+// as their intersection and only the bits of their union outside it are
+// drawn.
+func inheritLinks(n int, parents []*graph.Graph, weights []float64, total float64, rng *stats.RNG) *graph.Graph {
+	child := graph.Intersect(parents)
+	drawn := 0 // pairs whose draw the stream has passed
+	first := 0 // pair index of {i, i+1}
+	for i := 0; i < n; i++ {
+		lo := i + 1
+		row := child.Row(i)
+		for wi := lo / 64; wi < len(row); wi++ {
+			var union uint64
+			for _, p := range parents {
+				union |= p.Row(i)[wi]
+			}
+			open := union &^ row[wi]
+			if wi == lo/64 {
+				open &= ^uint64(0) << uint(lo%64)
+			}
+			for open != 0 {
+				j := wi*64 + bits.TrailingZeros64(open)
+				open &= open - 1
+				k := first + j - lo
+				rng.Skip(k - drawn)
+				drawn = k + 1
+				if parents[stats.WeightedIndexTotal(weights, total, rng)].HasEdge(i, j) {
+					child.AddEdge(i, j)
+				}
+			}
+		}
+		first += n - lo
+	}
+	rng.Skip(first - drawn)
+	return child
 }
 
 // mutate creates one offspring by mutating a parent chosen with probability

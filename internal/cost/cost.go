@@ -11,6 +11,20 @@
 // shortest-path trees in O(n) per source, reuses scratch buffers, and
 // memoizes results by graph hash (GA populations converge, so identical
 // candidates recur constantly).
+//
+// Most PoPs of a good topology are leaves (degree 1), and a leaf's
+// distance and parent are final as soon as its one neighbor is, so leaves
+// never enter the heap: the relaxation from the neighbor settles them, and
+// the load accumulation folds each node's leaves, kept in a per-node list,
+// into the reverse walk of the heap's pop order. Loads are sums of
+// floating-point demands, so the order in which a node's children are
+// folded into it is part of the result. Any finalization order gives the
+// same loads to the last bit as long as it lists every node after its
+// parent and the children of each node in (distance, id) order — the order
+// a heap holding every node pops them in — and both the leaf-aware walk
+// (pushTree) and the full orders the delta path records (fullOrder) keep
+// exactly that contract.
+//
 // For the GA's small edits (single-link mutations) the incremental
 // CostDelta/EvaluateDelta path re-runs Dijkstra only from sources whose
 // shortest-path tree can be affected, with distance-bound pruning, and
@@ -159,6 +173,8 @@ type Evaluator struct {
 		load     []float64    // n×n flattened link loads
 		hnodes   []int32      // heap: node storage
 		hpos     []int32      // heap: position index
+		popped   int          // order[:popped] holds the heap's pop order
+		cursor   []int32      // per-node cursor into the leaf runs
 		affected []bool       // delta path: per-source recompute marks
 		diff     []graph.Edge // delta path: edge-diff scratch
 	}
@@ -171,9 +187,15 @@ type Evaluator struct {
 	// row pointers. The buffers are pooled per Evaluator (cols/weights keep
 	// their high-water capacity), so steady-state evaluation is zero-alloc.
 	csr struct {
-		rowStart []int32   // n+1 row offsets
-		cols     []int32   // neighbor of each directed edge slot
-		weights  []float64 // dist[i][cols[k]] for each slot, aligned with cols
+		rowStart  []int32   // n+1 row offsets
+		cols      []int32   // neighbor of each directed edge slot
+		weights   []float64 // dist[i][cols[k]] for each slot, aligned with cols
+		leaves    []int32   // the degree-1 nodes, ascending
+		leafStart []int32   // n+1 offsets: leafAdj[leafStart[u]:leafStart[u+1]] are u's leaves
+		leafAdj   []int32   // each node's leaves, sorted by (link length, id)
+		leafCount []int32   // leafStart[u+1] - leafStart[u], copied to seed pushTree's cursors
+		hubs      []int32   // the nodes with two or more leaves
+		tieFree   bool      // no source can reorder a leaf run (see fillLeafRuns)
 	}
 
 	// delta is the retained base cache of the incremental path (see
@@ -257,7 +279,13 @@ func (e *Evaluator) initScratch() {
 	e.dj.load = make([]float64, n*n)
 	e.dj.hnodes = make([]int32, 0, n)
 	e.dj.hpos = make([]int32, n)
+	e.dj.cursor = make([]int32, n)
 	e.csr.rowStart = make([]int32, n+1)
+	e.csr.leaves = make([]int32, 0, n)
+	e.csr.leafStart = make([]int32, n+1)
+	e.csr.leafAdj = make([]int32, n)
+	e.csr.leafCount = make([]int32, n)
+	e.csr.hubs = make([]int32, 0, n)
 	if e.deltaOn {
 		e.dj.affected = make([]bool, n)
 	}
@@ -381,8 +409,9 @@ func (e *Evaluator) sumCost() float64 {
 
 // fillCSR rebuilds the pooled CSR snapshot for g: one bitset pass for the
 // columns, one flat pass resolving each slot's edge length from the
-// distance matrix. After it returns, Dijkstra and sumCost operate on g
-// without touching the Graph or the 2-D distance matrix.
+// distance matrix and listing the leaves, then fillLeafRuns. After it
+// returns, Dijkstra and sumCost operate on g without touching the Graph or
+// the 2-D distance matrix.
 func (e *Evaluator) fillCSR(g *graph.Graph) {
 	c := &e.csr
 	c.cols = g.AppendCSR(c.rowStart, c.cols[:0])
@@ -392,12 +421,17 @@ func (e *Evaluator) fillCSR(g *graph.Graph) {
 	} else {
 		c.weights = c.weights[:m]
 	}
+	c.leaves = c.leaves[:0]
 	for i := 0; i < e.n; i++ {
 		row := e.dist[i]
 		for k := c.rowStart[i]; k < c.rowStart[i+1]; k++ {
 			c.weights[k] = row[c.cols[k]]
 		}
+		if c.rowStart[i+1]-c.rowStart[i] == 1 {
+			c.leaves = append(c.leaves, int32(i))
+		}
 	}
+	e.fillLeafRuns()
 	e.counters.csrBuilds.Inc()
 }
 
@@ -518,26 +552,22 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing, record bool) bool 
 		if !connected {
 			continue // loads are meaningless; still filling routing tables
 		}
-		e.pushLoads(s, e.dj.parent, e.dj.order[:reached])
+		e.pushTree(s)
 	}
 	return connected
 }
 
 // pushLoads adds source s's demand contribution to e.dj.load by pushing
-// demands down the source's shortest-path tree from the leaves: Dijkstra
-// finalizes nodes in increasing distance order, so walking the finalization
-// order backwards visits every node after all of its tree descendants. Each
-// unordered pair {s,d} is accounted once, at its lower-indexed endpoint.
-// The full sweep and the delta path both accumulate through this helper in
-// ascending source order, which keeps their floating-point sums
-// bit-identical.
-//
-// order must be exactly the finalized prefix of a Dijkstra run — order[:count]
-// with count dijkstra's return value — and every caller must have verified
-// count == n first (loads over a partial tree are meaningless): dijkstra
-// leaves stale entries past count in its scratch after an early return on a
-// disconnected graph, and pushLoads trusts the slice bound it is handed
-// (TestScratchPoisoning proves nothing reads past it).
+// demands up the source's shortest-path tree: walking a finalization order
+// backwards visits every node after all of its tree descendants and folds
+// the children of each node into it in reverse (distance, id) order. order
+// must list the whole tree — s first, every node after its parent and
+// siblings in (distance, id) order (see the package comment) — and every
+// caller must have verified that the tree reaches all n nodes (loads over
+// a partial tree are meaningless). Each unordered pair {s,d} is accounted
+// once, at its lower-indexed endpoint. Full sweeps (through pushTree) and
+// the delta path's replays of recorded orders both accumulate in ascending
+// source order, which keeps their floating-point sums bit-identical.
 //
 // The accumulator is seeded from the flattened demand matrix with one
 // bulk copy + clear instead of a branch-per-node loop; the backward tree
@@ -549,14 +579,8 @@ func (e *Evaluator) pushLoads(s int, parent, order []int32) {
 	copy(acc[s+1:n], e.dflat[s*n+s+1:(s+1)*n])
 	clear(acc[:s+1])
 	for k := len(order) - 1; k >= 1; k-- {
-		v := int(order[k])
-		if acc[v] == 0 {
-			continue
-		}
-		pv := int(parent[v])
-		load[v*n+pv] += acc[v]
-		load[pv*n+v] += acc[v]
-		acc[pv] += acc[v]
+		v := order[k]
+		fold(load, acc, n, v, parent[v])
 	}
 }
 

@@ -61,7 +61,7 @@ func (b *baseEntry) copyFromScratch(e *Evaluator, s int) {
 	n := e.n
 	copy(b.dist[s*n:(s+1)*n], e.dj.dist[:n])
 	copy(b.parent[s*n:(s+1)*n], e.dj.parent[:n])
-	copy(b.order[s*n:(s+1)*n], e.dj.order[:n])
+	e.fullOrder(s, b.order[s*n:(s+1)*n])
 }
 
 // deltaState is the retained base cache of the incremental path: up to
@@ -321,7 +321,7 @@ func (e *Evaluator) evalDelta(ent *baseEntry, g *graph.Graph, changed []graph.Ed
 				}
 				return false, true
 			}
-			e.pushLoads(s, e.dj.parent, e.dj.order[:reached])
+			e.pushTree(s)
 			if advance {
 				ent.copyFromScratch(e, s)
 			}

@@ -1,9 +1,10 @@
 package cost
 
 // Evaluation benchmarks: the full heap-Dijkstra sweep against the delta
-// path on GA-style single-link edits. Run with:
+// path on GA-style single-link edits, and the full sweep on a leaf-heavy
+// paper-scale topology. Run with:
 //
-//	go test ./internal/cost -run '^$' -bench 'Evaluate(Heap|Delta)' -benchtime 3x
+//	go test ./internal/cost -run '^$' -bench 'Evaluate(Heap|Delta|HubLeaves)' -benchtime 3x
 
 import (
 	"fmt"
@@ -35,6 +36,37 @@ func BenchmarkEvaluateHeap(b *testing.B) {
 				e.CostUncached(g)
 			}
 		})
+	}
+}
+
+// BenchmarkEvaluateHubLeaves measures one full sweep (CostUncached) per op
+// on an n=30 hub-and-spoke topology of the shape the GA converges to at
+// the paper's scale: five meshed hubs, every other PoP a leaf hung off its
+// nearest hub.
+func BenchmarkEvaluateHubLeaves(b *testing.B) {
+	const n, hubs = 30, 5
+	e := optionsContext(b, n, 1, Options{Delta: ForceOff})
+	g := graph.New(n)
+	for h := 0; h < hubs; h++ {
+		for k := h + 1; k < hubs; k++ {
+			g.AddEdge(h, k)
+		}
+	}
+	for v := hubs; v < n; v++ {
+		near := 0
+		for h := 1; h < hubs; h++ {
+			if e.Dist()[v][h] < e.Dist()[v][near] {
+				near = h
+			}
+		}
+		g.AddEdge(near, v)
+	}
+	if e.CostUncached(g) == 0 {
+		b.Fatal("zero cost")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CostUncached(g)
 	}
 }
 

@@ -5,7 +5,7 @@ package cost
 // bit-identity contracts that the rest of the system (memo cache, GA
 // determinism, golden fixtures) depends on:
 //
-//   FuzzDijkstraEquivalence — evaluator routing vs the reference Dijkstra
+//   FuzzDijkstraEquivalence — evaluator routing and loads vs the reference
 //   FuzzEvaluateDelta       — incremental delta walk vs fresh full sweeps
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/. CI runs each target for a
@@ -55,7 +55,8 @@ func fuzzGraph(n int, data []byte) *graph.Graph {
 
 // FuzzDijkstraEquivalence: for any context and any graph — connected or not
 // — the evaluator's routing must equal the reference Dijkstra's distances
-// and tie-broken parents bit for bit, and Cost must equal Evaluate's total.
+// and tie-broken parents bit for bit, its loads and cost the reference
+// loads and cost, and Cost must equal Evaluate's total.
 func FuzzDijkstraEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{8, 0xff, 0x3c, 0x81})
 	f.Add(int64(42), []byte{20, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80})
@@ -66,8 +67,8 @@ func FuzzDijkstraEquivalence(f *testing.F) {
 		}
 		e := fuzzContext(t, seed, data[0], Options{})
 		g := fuzzGraph(e.N(), data[1:])
+		matchesReferenceLoads(t, "fuzz", e, g)
 		ev := e.Evaluate(g)
-		matchesReference(t, "fuzz", g, e.Dist(), ev.Routing)
 		if c := e.Cost(g); c != ev.Total {
 			t.Fatalf("Cost %v != Evaluate total %v", c, ev.Total)
 		}

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 )
 
 // nodeHeap is an indexed binary min-heap of node ids keyed by the shared
@@ -14,12 +15,18 @@ import (
 type nodeHeap struct {
 	dist  []float64 // shared with the Dijkstra scratch; never resized here
 	nodes []int32   // heap storage: nodes[0] is the minimum
-	pos   []int32   // pos[v] = index of v in nodes, -1 when absent
+	pos   []int32   // pos[v] = index of v in nodes, -1 when absent, leafPos for a leaf
 }
 
+// leafPos marks a node dijkstra finalizes without the heap.
+const leafPos = -2
+
 // less orders nodes by (distance, id).
-func (h *nodeHeap) less(a, b int32) bool {
-	da, db := h.dist[a], h.dist[b]
+func (h *nodeHeap) less(a, b int32) bool { return before(h.dist, a, b) }
+
+// before orders nodes by (distance, id), the heap's pop order.
+func before(dist []float64, a, b int32) bool {
+	da, db := dist[a], dist[b]
 	return da < db || (da == db && a < b)
 }
 
@@ -90,13 +97,18 @@ func (h *nodeHeap) down(i int) {
 
 // dijkstra computes shortest paths from src over the CSR snapshot (the
 // caller must have run fillCSR on the graph being evaluated) into the
-// scratch buffers: distances in e.dj.dist, predecessors in e.dj.parent and
-// the finalization order (increasing distance, ties toward lower ids) in
-// e.dj.order. It runs in O((n+m)·log n) and relaxes edges over the flat CSR
-// slices — no bitset closure, no distance-matrix row chase. The return
-// value is the number of reachable (finalized) nodes; entries of e.dj.order
-// past it are stale on disconnected graphs, so consumers take
-// order[:count].
+// scratch buffers: distances in e.dj.dist and predecessors in e.dj.parent.
+// It runs in O((n+m)·log n) and relaxes edges over the flat CSR slices. The
+// return value is the number of reachable nodes.
+//
+// Leaves (degree-1 nodes other than src) never enter the heap: a leaf's
+// only neighbor u is its parent, so the relaxation from u fixes its
+// distance and parent for good, and relaxing u back from the leaf could
+// never improve on dist[u]. The distances and parents are exactly those of
+// a search that pushed every node through the heap. e.dj.order[:e.dj.popped]
+// receives the nodes the heap did finalize, in pop order (increasing
+// distance, ties toward lower ids); pushTree and fullOrder add the leaves
+// from the snapshot's leaf lists.
 func (e *Evaluator) dijkstra(src int) int {
 	n := e.n
 	dist, parent, order, pos := e.dj.dist, e.dj.parent, e.dj.order, e.dj.hpos
@@ -106,6 +118,10 @@ func (e *Evaluator) dijkstra(src int) int {
 		parent[i] = -1
 		pos[i] = -1
 	}
+	for _, v := range e.csr.leaves {
+		pos[v] = leafPos
+	}
+	pos[src] = -1
 	h := nodeHeap{dist: dist, nodes: e.dj.hnodes[:0], pos: pos}
 	dist[src] = 0
 	h.push(int32(src))
@@ -120,14 +136,239 @@ func (e *Evaluator) dijkstra(src int) int {
 			if nd := du + weights[k]; nd < dist[v] {
 				dist[v] = nd
 				parent[v] = u
-				if pos[v] >= 0 {
+				if p := pos[v]; p >= 0 {
 					h.decrease(v)
-				} else {
+				} else if p == -1 {
 					h.push(v)
 				}
 			}
 		}
 	}
 	e.dj.hnodes = h.nodes // keep the grown backing array for reuse
+	e.dj.popped = count
+	for _, v := range e.csr.leaves {
+		if parent[v] >= 0 {
+			count++
+		}
+	}
 	return count
+}
+
+// Leaf runs. A node's leaf children are the leaves hanging off it (all but
+// src, the root), and the loads need them in (distance, id) order among
+// their siblings: pushLoads folds every child's demand into its parent in
+// reverse finalization order, and floating-point addition is not
+// associative. fillLeafRuns lists each node's leaves sorted by (link
+// length, id). Adding the parent's distance keeps that order except for
+// rounding ties, which sortLeafRuns repairs per source.
+
+// fillLeafRuns builds the leaf runs of the CSR snapshot from its leaf list
+// and decides whether they are tie-free. For leaves a, b of one node with
+// link lengths ℓa < ℓb, rounding can make du+ℓa == du+ℓb — and so put b
+// first if b < a — only if ℓb−ℓa is at most one ulp of the sum. Every
+// distance is below the sum M of all slot weights (twice the total link
+// length, all weights non-negative and finite), so that ulp is below
+// M·2⁻⁵¹, and a snapshot whose nonzero gaps between consecutive lengths in
+// a run all exceed it needs no per-source repair. Equal lengths give equal
+// distances, ordered by id as sorted.
+func (e *Evaluator) fillLeafRuns() {
+	c := &e.csr
+	ls := c.leafStart
+	clear(ls)
+	for _, v := range c.leaves {
+		ls[c.cols[c.rowStart[v]]+1]++
+	}
+	fill := e.dj.cursor
+	c.hubs = c.hubs[:0]
+	for u := 0; u < e.n; u++ {
+		c.leafCount[u] = ls[u+1]
+		if ls[u+1] > 1 {
+			c.hubs = append(c.hubs, int32(u))
+		}
+		ls[u+1] += ls[u]
+		fill[u] = ls[u]
+	}
+	for _, v := range c.leaves { // ascending ids
+		u := c.cols[c.rowStart[v]]
+		c.leafAdj[fill[u]] = v
+		fill[u]++
+	}
+	var m float64
+	c.tieFree = true
+	for _, w := range c.weights {
+		m += w
+		c.tieFree = c.tieFree && w >= 0
+	}
+	c.tieFree = c.tieFree && !math.IsInf(m, 0)
+	gap := m * 0x1p-51
+	for _, u := range c.hubs {
+		row, run := e.dist[u], c.leafAdj[ls[u]:ls[u+1]]
+		sortByDist(run, row)
+		for i := 1; i < len(run); i++ {
+			if d := row[run[i]] - row[run[i-1]]; d != 0 && d <= gap {
+				c.tieFree = false
+			}
+		}
+	}
+}
+
+// sortLeafRuns puts every leaf run of the snapshot in (distance, id) order
+// for the tree the last dijkstra(s) left in the scratch. src's position in
+// its neighbor's run is irrelevant — it is nobody's child — and unchecked.
+func (e *Evaluator) sortLeafRuns(s int) {
+	if e.csr.tieFree {
+		return
+	}
+	dist := e.dj.dist
+	ls, lv := e.csr.leafStart, e.csr.leafAdj
+	for _, u := range e.csr.hubs {
+		run := lv[ls[u]:ls[u+1]]
+		prev := int32(-1)
+		for _, v := range run {
+			if v == int32(s) {
+				continue
+			}
+			if prev >= 0 && !before(dist, prev, v) {
+				sortByDist(run, dist)
+				break
+			}
+			prev = v
+		}
+	}
+}
+
+// pushTree is pushLoads for the tree the last dijkstra(s) left in the
+// scratch, which must have reached every node. It walks the popped nodes
+// backwards like pushLoads and folds each leaf run into the reverse walk
+// at the place the leaves hold among their siblings in (distance, id)
+// order: before a popped node c is folded into its parent p, the leaves of
+// p that sort above c; once the walk reaches p itself, the rest of them.
+// Every node's children are thus folded in exactly pushLoads' order, so
+// the loads are bit-identical to a walk over a full finalization order.
+func (e *Evaluator) pushTree(s int) {
+	n := e.n
+	parent, popped := e.dj.parent, e.dj.order[:e.dj.popped]
+	if len(e.csr.leaves) == 0 {
+		e.pushLoads(s, parent, popped)
+		return
+	}
+	e.sortLeafRuns(s)
+	dist, load, acc := e.dj.dist, e.dj.load, e.dj.acc
+	ls, lv, rem := e.csr.leafStart, e.csr.leafAdj, e.dj.cursor
+	copy(rem, e.csr.leafCount) // rem[u]: u's leaves not yet folded, from the top of its run
+	copy(acc[s+1:n], e.dflat[s*n+s+1:(s+1)*n])
+	clear(acc[:s+1])
+	src := int32(s)
+	for k := len(popped) - 1; k >= 0; k-- {
+		c := popped[k]
+		if r := rem[c]; r > 0 {
+			run := lv[ls[c] : ls[c]+r]
+			for i := r - 1; i >= 0; i-- {
+				if v := run[i]; v != src {
+					fold(load, acc, n, v, c)
+				}
+			}
+		}
+		if k == 0 {
+			break // c == src
+		}
+		p := parent[c]
+		if r := rem[p]; r > 0 {
+			run := lv[ls[p] : ls[p]+r]
+			for ; r > 0; r-- {
+				v := run[r-1]
+				if v == src {
+					continue
+				}
+				if before(dist, v, c) {
+					break
+				}
+				fold(load, acc, n, v, p)
+			}
+			rem[p] = r
+		}
+		fold(load, acc, n, c, p)
+	}
+}
+
+// fold adds node v's accumulated demand to its tree link {v, p} and to its
+// parent p's accumulator.
+func fold(load, acc []float64, n int, v, p int32) {
+	a := acc[v]
+	if a == 0 {
+		return
+	}
+	load[int(v)*n+int(p)] += a
+	load[int(p)*n+int(v)] += a
+	acc[p] += a
+}
+
+// fullOrder writes into dst the finalization order of every node the last
+// dijkstra(s) reached, in the form pushLoads replays: each node after its
+// parent and siblings in (distance, id) order, as in the order of a search
+// that pushed every node through the heap. It merges the leaf runs into
+// the pop order: before each popped node c, the leaves of c's parent that
+// sort below c; after the last, every leaf still pending.
+func (e *Evaluator) fullOrder(s int, dst []int32) {
+	popped := e.dj.order[:e.dj.popped]
+	if len(e.csr.leaves) == 0 {
+		copy(dst, popped)
+		return
+	}
+	e.sortLeafRuns(s)
+	dist, parent := e.dj.dist, e.dj.parent
+	ls, lv, cur := e.csr.leafStart, e.csr.leafAdj, e.dj.cursor
+	copy(cur, ls[:e.n]) // cur[u]: start of u's leaves not yet placed
+	src := int32(s)
+	count := 0
+	for _, c := range popped {
+		if p := parent[c]; p >= 0 {
+			j := cur[p]
+			for ; j < ls[p+1]; j++ {
+				v := lv[j]
+				if v == src {
+					continue
+				}
+				if !before(dist, v, c) {
+					break
+				}
+				dst[count] = v
+				count++
+			}
+			cur[p] = j
+		}
+		dst[count] = c
+		count++
+	}
+	for _, c := range popped {
+		for _, v := range lv[cur[c]:ls[c+1]] {
+			if parent[v] == c {
+				dst[count] = v
+				count++
+			}
+		}
+	}
+}
+
+// sortByDist sorts a leaf run by (distance, id): in place by insertion for
+// the short runs of typical topologies, by pdqsort for the long runs of a
+// big star.
+func sortByDist(run []int32, dist []float64) {
+	if len(run) > 16 {
+		slices.SortFunc(run, func(a, b int32) int {
+			if before(dist, a, b) {
+				return -1
+			}
+			return 1
+		})
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		v := run[i]
+		j := i
+		for ; j > 0 && before(dist, v, run[j-1]); j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = v
+	}
 }

@@ -1,7 +1,7 @@
 package cost
 
 // Allocation regression tests for the evaluation hot path, plus the
-// scratch-poisoning test behind the order[:count] contract.
+// scratch-poisoning test behind the order[:popped] contract.
 //
 // The GA evaluates every candidate in every generation through
 // Cost/CostUncached/CostDelta (the BenchmarkEvaluate* hot paths), which
@@ -29,9 +29,13 @@ func TestZeroAllocEvaluate(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		g := randomConnected(rng, n, 6.0/n, e.Dist())
 		dense := randomConnected(rng, n, 0.6, e.Dist()) // larger CSR: warms cols/weights high-water
+		star := graph.New(n)                            // one long leaf run: the pdqsort path
+		for v := 1; v < n; v++ {
+			star.AddEdge(0, v)
+		}
 		e.CostUncached(dense)
 		e.CostUncached(g)
-		for _, graphs := range [][]*graph.Graph{{g}, {g, dense}} {
+		for _, graphs := range [][]*graph.Graph{{g}, {g, dense, star}} {
 			i := 0
 			if allocs := testing.AllocsPerRun(20, func() {
 				e.CostUncached(graphs[i%len(graphs)])
@@ -78,7 +82,8 @@ func TestZeroAllocEvaluateDelta(t *testing.T) {
 
 // poisonScratch fills every pooled buffer with values that make any stale
 // read detectable: NaN distances and loads, out-of-range node indices in
-// parent/order/hpos (indexing with one panics), affected all true. A
+// parent/order/hpos, the leaf-run cursors and the leaf lists (indexing
+// with one panics), affected all true. A
 // correct evaluation fully re-initializes everything it reads, so results
 // after poisoning must stay bit-identical to a fresh evaluator's.
 func poisonScratch(e *Evaluator) {
@@ -95,6 +100,7 @@ func poisonScratch(e *Evaluator) {
 	}
 	for i := range e.dj.hpos {
 		e.dj.hpos[i] = bad
+		e.dj.cursor[i] = bad
 	}
 	for i := range e.dj.affected {
 		e.dj.affected[i] = true
@@ -108,15 +114,21 @@ func poisonScratch(e *Evaluator) {
 	for i := range e.csr.weights {
 		e.csr.weights[i] = math.NaN()
 	}
+	for i := range e.csr.leafStart {
+		e.csr.leafStart[i] = -1
+	}
+	for i := range e.csr.leafAdj {
+		e.csr.leafAdj[i] = bad
+	}
 }
 
 // TestScratchPoisoning poisons the scratch buffers between evaluations —
-// including right after a disconnected graph's Dijkstra early-returns and
-// leaves stale tail entries past count in e.dj.order — and verifies every
-// following evaluation still matches a fresh evaluator bit for bit. Any
-// consumer reading order past the finalized count (the order[:count]
-// contract on pushLoads) would index out of range and panic, or fold NaN
-// into a load and diverge.
+// including right after a disconnected graph's Dijkstra stops short and
+// leaves stale tail entries past e.dj.popped in e.dj.order — and verifies
+// every following evaluation still matches a fresh evaluator bit for bit.
+// Any consumer reading order past the popped prefix (pushTree and
+// fullOrder read order[:popped]) would index out of range and panic, or
+// fold NaN into a load and diverge.
 func TestScratchPoisoning(t *testing.T) {
 	t.Run("heap", func(t *testing.T) {
 		const n = 24
@@ -129,7 +141,7 @@ func TestScratchPoisoning(t *testing.T) {
 		sameEvaluation(t, "poisoned full sweep", ev.Evaluate(g), ref.Evaluate(g))
 
 		// Disconnected graph: Dijkstra finalizes only one component and
-		// returns early, leaving order[count:] stale (and still poisoned).
+		// stops, leaving order[popped:] stale (and still poisoned).
 		iso := g.Clone()
 		for j := 1; j < n; j++ {
 			iso.RemoveEdge(0, j)

@@ -252,6 +252,33 @@ func (g *Graph) Diff(h *Graph, buf []Edge) []Edge {
 	return buf
 }
 
+// Row returns node i's adjacency bitset: bit j%64 of word j/64 is set iff
+// {i,j} is a link. The slice aliases g's storage; callers must not modify
+// it.
+func (g *Graph) Row(i int) []uint64 { return g.bits[i*g.words : (i+1)*g.words] }
+
+// Intersect returns a new graph holding the links that every graph in gs
+// has. gs must be non-empty and its graphs must share one node count.
+func Intersect(gs []*Graph) *Graph {
+	c := gs[0].Clone()
+	for _, h := range gs[1:] {
+		if h.n != c.n {
+			panic(fmt.Sprintf("graph: Intersect between %d and %d nodes", c.n, h.n))
+		}
+		for i, w := range h.bits {
+			c.bits[i] &= w
+		}
+	}
+	if len(gs) > 1 {
+		c.edges = 0
+		for _, w := range c.bits {
+			c.edges += popcount(w)
+		}
+		c.edges /= 2
+	}
+	return c
+}
+
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, words: g.words, edges: g.edges}
@@ -334,28 +361,49 @@ func (g *Graph) Components() [][]int {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
-// the single-node graph are connected.
+// the single-node graph are connected. It flood-fills from node 0 over
+// whole bitset words, and for graphs of up to floodWords·64 nodes it does
+// not allocate.
 func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	seen := make([]bool, g.n)
-	count := 1
-	seen[0] = true
-	queue := []int{0}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.EachNeighbor(v, func(u int) {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				queue = append(queue, u)
+	w := g.words
+	var buf [2 * floodWords]uint64
+	var seen, frontier []uint64
+	if w <= floodWords {
+		seen, frontier = buf[:w], buf[floodWords:floodWords+w]
+	} else {
+		seen, frontier = make([]uint64, w), make([]uint64, w)
+	}
+	seen[0], frontier[0] = 1, 1
+	for wi := 0; wi < w; {
+		if frontier[wi] == 0 {
+			wi++
+			continue
+		}
+		b := trailingZeros(frontier[wi])
+		frontier[wi] &^= 1 << uint(b)
+		v := wi*64 + b
+		for k, r := range g.bits[v*w : (v+1)*w] {
+			fresh := r &^ seen[k]
+			seen[k] |= fresh
+			frontier[k] |= fresh
+			if fresh != 0 && k < wi {
+				wi = k
 			}
-		})
+		}
+	}
+	count := 0
+	for _, x := range seen {
+		count += popcount(x)
 	}
 	return count == g.n
 }
+
+// floodWords is the largest row width, in words, IsConnected handles
+// without allocating: 1024 nodes.
+const floodWords = 16
 
 // BFSHops returns hop distances from src to every node; unreachable nodes
 // get -1.
@@ -428,11 +476,11 @@ func MST(n int, weight [][]float64) *Graph {
 // over the component graph selects which of those links to add. This is the
 // repair step of §4.1.3 and returns the number of links added.
 func (g *Graph) Connect(dist [][]float64) int {
-	comps := g.Components()
-	k := len(comps)
-	if k <= 1 {
+	if g.IsConnected() {
 		return 0
 	}
+	comps := g.Components()
+	k := len(comps)
 	// Shortest cross link between each pair of components.
 	type link struct {
 		a, b int

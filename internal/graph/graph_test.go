@@ -355,6 +355,97 @@ func TestConnectAlreadyConnected(t *testing.T) {
 	}
 }
 
+// TestConnectConnectedDoesNotAllocate: the GA repairs every offspring, and
+// most already come out connected; those must return without allocating.
+func TestConnectConnectedDoesNotAllocate(t *testing.T) {
+	for _, n := range []int{2, 30, 64, 65, 512} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := New(n)
+		for v := 1; v < n; v++ {
+			g.AddEdge(rng.Intn(v), v)
+		}
+		dist := randomMetric(rng, n)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if g.Connect(dist) != 0 {
+				t.Fatal("repair added a link to a connected graph")
+			}
+		}); allocs != 0 {
+			t.Fatalf("n=%d: Connect on a connected graph allocates %v objects, want 0", n, allocs)
+		}
+	}
+}
+
+// TestIsConnectedMatchesComponents compares the bitset flood fill with
+// Components on random graphs from empty to dense, across word
+// boundaries and past the size it handles without allocating.
+func TestIsConnectedMatchesComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 129, 1025, 1100} {
+		for _, deg := range []float64{0.5, 1, 2, 4} {
+			g := New(n)
+			for k := 0; k < int(deg*float64(n)/2); k++ {
+				g.AddEdge(rng.Intn(n), rng.Intn(n))
+			}
+			if got, want := g.IsConnected(), len(g.Components()) <= 1; got != want {
+				t.Fatalf("n=%d deg=%v: IsConnected %v, Components says %v", n, deg, got, want)
+			}
+		}
+		// A random tree on shuffled ids: the flood must often return to
+		// words it has already passed.
+		tree, perm := New(n), rng.Perm(n)
+		for v := 1; v < n; v++ {
+			tree.AddEdge(perm[rng.Intn(v)], perm[v])
+		}
+		if !tree.IsConnected() {
+			t.Fatalf("n=%d: random tree reported disconnected", n)
+		}
+	}
+}
+
+// TestIntersectAndRow: Intersect keeps exactly the links every graph has
+// and counts them, and Row exposes the adjacency bitset.
+func TestIntersectAndRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 5, 64, 70} {
+		gs := make([]*Graph, 3)
+		for k := range gs {
+			gs[k] = New(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if rng.Intn(3) > 0 {
+						gs[k].AddEdge(i, j)
+					}
+				}
+			}
+		}
+		for m := 1; m <= len(gs); m++ {
+			c := Intersect(gs[:m])
+			edges := 0
+			for i := 0; i < n; i++ {
+				row := c.Row(i)
+				for j := 0; j < n; j++ {
+					all := i != j
+					for _, g := range gs[:m] {
+						all = all && g.HasEdge(i, j)
+					}
+					if c.HasEdge(i, j) != all || (row[j/64]>>(j%64)&1 == 1) != all {
+						t.Fatalf("n=%d m=%d: link (%d,%d) = %v, want %v", n, m, i, j, c.HasEdge(i, j), all)
+					}
+					if all && j > i {
+						edges++
+					}
+				}
+			}
+			if c.NumEdges() != edges {
+				t.Fatalf("n=%d m=%d: NumEdges %d, want %d", n, m, c.NumEdges(), edges)
+			}
+		}
+		if c := Intersect(gs[:1]); c == gs[0] {
+			t.Fatal("Intersect of one graph must return a copy")
+		}
+	}
+}
+
 func TestConnectAlwaysConnects(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 50; trial++ {

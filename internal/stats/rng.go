@@ -61,6 +61,12 @@ func (r *RNG) Uint64() uint64 {
 	return Mix64(r.state)
 }
 
+// Skip advances the stream past k draws in O(1): afterwards r is exactly
+// where k calls to Uint64 would have left it. k must be non-negative.
+func (r *RNG) Skip(k int) {
+	r.state += uint64(k) * golden
+}
+
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

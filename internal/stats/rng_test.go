@@ -178,3 +178,25 @@ func TestWeightedIndexAcceptsRNG(t *testing.T) {
 		t.Errorf("weight-3 index drawn %.3f of the time, want ~0.75", frac)
 	}
 }
+
+// TestRNGSkipMatchesDraws: Skip(k) must leave a stream exactly where k
+// calls to Uint64 would, for every k including zero, so a consumer that
+// skips the draws whose outcome is already settled stays in lockstep with
+// one that makes them.
+func TestRNGSkipMatchesDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 0xDEADBEEF, math.MaxUint64} {
+		for _, k := range []int{0, 1, 2, 7, 64, 435, 1 << 20} {
+			skipped, drawn := NewRNG(seed), NewRNG(seed)
+			skipped.Skip(k)
+			for i := 0; i < k; i++ {
+				drawn.Uint64()
+			}
+			if skipped != drawn {
+				t.Fatalf("seed %#x: Skip(%d) left state %#x, %d draws left %#x", seed, k, skipped.state, k, drawn.state)
+			}
+			if a, b := skipped.Uint64(), drawn.Uint64(); a != b {
+				t.Fatalf("seed %#x k %d: next draw %#x after Skip, %#x after draws", seed, k, a, b)
+			}
+		}
+	}
+}
