@@ -25,6 +25,19 @@
 // (pushTree) and the full orders the delta path records (fullOrder) keep
 // exactly that contract.
 //
+// The cost-only sweep behind Cost and CostUncached goes further
+// (shared.go). Outside a graph's 2-core every shortest path is unique, so
+// the sources in a tree hanging off a 2-core node (or the whole graph, if
+// it is a tree) all route over that root's tree, re-rooted along their one
+// path to it. The sweep computes each root's tree once and splices every
+// pendant source's order from blocks of the root's preorder; two checks
+// made once per graph and per root — no rounding tie in any sorted row, and
+// a slack on every 2-core link off the root's tree — prove the spliced
+// trees are exactly the ones Dijkstra would find, and where either fails
+// the sources are routed one by one as before. Evaluate, the delta path
+// and PathTable.Fill keep the per-source sweep, since they need each
+// source's own distances.
+//
 // For the GA's small edits (single-link mutations) the incremental
 // CostDelta/EvaluateDelta path re-runs Dijkstra only from sources whose
 // shortest-path tree can be affected, with distance-bound pruning, and
@@ -195,8 +208,13 @@ type Evaluator struct {
 		leafAdj   []int32   // each node's leaves, sorted by (link length, id)
 		leafCount []int32   // leafStart[u+1] - leafStart[u], copied to seed pushTree's cursors
 		hubs      []int32   // the nodes with two or more leaves
-		tieFree   bool      // no source can reorder a leaf run (see fillLeafRuns)
+		sorted    []int32   // each row of cols in (link length, id) order
+		total     float64   // M: the sum of all slot weights
+		tieFree   bool      // no source can reorder a sorted row (see fillLeafRuns)
 	}
+
+	// sh is the shared-tree state of the cost-only sweep (shared.go).
+	sh sharedTrees
 
 	// delta is the retained base cache of the incremental path (see
 	// delta.go). Per-Evaluator, never shared across Clones.
@@ -286,6 +304,7 @@ func (e *Evaluator) initScratch() {
 	e.csr.leafAdj = make([]int32, n)
 	e.csr.leafCount = make([]int32, n)
 	e.csr.hubs = make([]int32, 0, n)
+	e.sh.init(n)
 	if e.deltaOn {
 		e.dj.affected = make([]bool, n)
 	}
@@ -358,12 +377,13 @@ func (e *Evaluator) Cost(g *graph.Graph) float64 {
 	return c
 }
 
-// computeCost is the uncached fast path: routes, accumulates loads, sums
-// the objective. It does not materialize per-edge slices.
+// computeCost is the uncached fast path: routes, accumulates loads over
+// shared shortest-path trees (sweepShared), sums the objective. It does not
+// materialize per-edge slices.
 func (e *Evaluator) computeCost(g *graph.Graph) float64 {
 	span := e.startSpan()
 	var c float64
-	if !e.routeAndLoad(g, nil, false) {
+	if !e.sweepShared(g) {
 		c = math.Inf(1)
 	} else {
 		c = e.sumCost()

@@ -1,10 +1,10 @@
 package cost
 
 // Evaluation benchmarks: the full heap-Dijkstra sweep against the delta
-// path on GA-style single-link edits, and the full sweep on a leaf-heavy
-// paper-scale topology. Run with:
+// path on GA-style single-link edits, and the full sweep on leaf-heavy
+// and pendant-heavy paper-scale topologies. Run with:
 //
-//	go test ./internal/cost -run '^$' -bench 'Evaluate(Heap|Delta|HubLeaves)' -benchtime 3x
+//	go test ./internal/cost -run '^$' -bench 'Evaluate(Heap|Delta|HubLeaves|Pendant)' -benchtime 3x
 
 import (
 	"fmt"
@@ -68,6 +68,47 @@ func BenchmarkEvaluateHubLeaves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.CostUncached(g)
 	}
+}
+
+// BenchmarkEvaluatePendant measures one full sweep (CostUncached) per op
+// on the shapes the GA evaluates at the paper's scale: the context's MST
+// (a tree: one DFS, no Dijkstra) plus its 2 or 6 shortest non-tree links
+// (a small or larger 2-core with pendant trees).
+func BenchmarkEvaluatePendant(b *testing.B) {
+	for _, n := range []int{30, 64} {
+		for _, extra := range []int{0, 2, 6} {
+			b.Run(fmt.Sprintf("%s/links%d", sizeName(n), extra), func(b *testing.B) {
+				e := optionsContext(b, n, 1, Options{Delta: ForceOff})
+				g := mstPlusShortest(e, extra)
+				if e.CostUncached(g) == 0 {
+					b.Fatal("zero cost")
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.CostUncached(g)
+				}
+			})
+		}
+	}
+}
+
+// mstPlusShortest returns the MST of e's distance matrix plus its extra
+// shortest non-tree links.
+func mstPlusShortest(e *Evaluator, extra int) *graph.Graph {
+	d := e.Dist()
+	g := graph.MST(e.N(), d)
+	for k := 0; k < extra; k++ {
+		bi, bj := -1, -1
+		for i := 0; i < e.N(); i++ {
+			for j := i + 1; j < e.N(); j++ {
+				if !g.HasEdge(i, j) && (bi < 0 || d[i][j] < d[bi][bj]) {
+					bi, bj = i, j
+				}
+			}
+		}
+		g.AddEdge(bi, bj)
+	}
+	return g
 }
 
 // BenchmarkEvaluateDelta measures CostDelta on single-link-toggled children

@@ -158,56 +158,63 @@ func (e *Evaluator) dijkstra(src int) int {
 // src, the root), and the loads need them in (distance, id) order among
 // their siblings: pushLoads folds every child's demand into its parent in
 // reverse finalization order, and floating-point addition is not
-// associative. fillLeafRuns lists each node's leaves sorted by (link
-// length, id). Adding the parent's distance keeps that order except for
-// rounding ties, which sortLeafRuns repairs per source.
+// associative. fillLeafRuns sorts every CSR row by (link length, id) and
+// lists each node's leaves in that order. Adding the parent's distance
+// keeps that order except for rounding ties, which sortLeafRuns repairs per
+// source.
 
-// fillLeafRuns builds the leaf runs of the CSR snapshot from its leaf list
-// and decides whether they are tie-free. For leaves a, b of one node with
-// link lengths ℓa < ℓb, rounding can make du+ℓa == du+ℓb — and so put b
-// first if b < a — only if ℓb−ℓa is at most one ulp of the sum. Every
-// distance is below the sum M of all slot weights (twice the total link
-// length, all weights non-negative and finite), so that ulp is below
-// M·2⁻⁵¹, and a snapshot whose nonzero gaps between consecutive lengths in
-// a run all exceed it needs no per-source repair. Equal lengths give equal
-// distances, ordered by id as sorted.
+// fillLeafRuns sorts the rows of the CSR snapshot into csr.sorted, builds
+// the leaf runs from them and decides whether the snapshot is tie-free. For
+// two neighbors a, b of one node with link lengths ℓa < ℓb, rounding can
+// make du+ℓa == du+ℓb — and so put b first if b < a — only if ℓb−ℓa is at
+// most one ulp of the sum. Every distance is below the sum M of all slot
+// weights (twice the total link length, all weights non-negative and
+// finite), so that ulp is below M·2⁻⁵¹, and a snapshot whose nonzero gaps
+// between consecutive lengths in every sorted row exceed it lists every
+// node's children, from every source, in sorted-row order: the leaf runs
+// need no per-source repair, and the shared-tree sweep (shared.go) may
+// splice preorders. Equal lengths give equal distances, ordered by id as
+// sorted.
 func (e *Evaluator) fillLeafRuns() {
 	c := &e.csr
-	ls := c.leafStart
-	clear(ls)
-	for _, v := range c.leaves {
-		ls[c.cols[c.rowStart[v]]+1]++
+	m := len(c.cols)
+	if cap(c.sorted) < m {
+		c.sorted = make([]int32, m)
+	} else {
+		c.sorted = c.sorted[:m]
 	}
-	fill := e.dj.cursor
-	c.hubs = c.hubs[:0]
-	for u := 0; u < e.n; u++ {
-		c.leafCount[u] = ls[u+1]
-		if ls[u+1] > 1 {
-			c.hubs = append(c.hubs, int32(u))
-		}
-		ls[u+1] += ls[u]
-		fill[u] = ls[u]
-	}
-	for _, v := range c.leaves { // ascending ids
-		u := c.cols[c.rowStart[v]]
-		c.leafAdj[fill[u]] = v
-		fill[u]++
-	}
-	var m float64
+	copy(c.sorted, c.cols)
+	var total float64
 	c.tieFree = true
 	for _, w := range c.weights {
-		m += w
+		total += w
 		c.tieFree = c.tieFree && w >= 0
 	}
-	c.tieFree = c.tieFree && !math.IsInf(m, 0)
-	gap := m * 0x1p-51
-	for _, u := range c.hubs {
-		row, run := e.dist[u], c.leafAdj[ls[u]:ls[u+1]]
-		sortByDist(run, row)
-		for i := 1; i < len(run); i++ {
-			if d := row[run[i]] - row[run[i-1]]; d != 0 && d <= gap {
-				c.tieFree = false
+	c.tieFree = c.tieFree && !math.IsInf(total, 0)
+	c.total = total
+	gap := total * 0x1p-51
+	ls := c.leafStart
+	ls[0] = 0
+	c.hubs = c.hubs[:0]
+	for u := 0; u < e.n; u++ {
+		row, sorted := e.dist[u], c.sorted[c.rowStart[u]:c.rowStart[u+1]]
+		sortByDist(sorted, row)
+		k := ls[u]
+		for i, v := range sorted {
+			if i > 0 {
+				if d := row[v] - row[sorted[i-1]]; d != 0 && d <= gap {
+					c.tieFree = false
+				}
 			}
+			if c.rowStart[v+1]-c.rowStart[v] == 1 {
+				c.leafAdj[k] = v
+				k++
+			}
+		}
+		ls[u+1] = k
+		c.leafCount[u] = k - ls[u]
+		if k-ls[u] > 1 {
+			c.hubs = append(c.hubs, int32(u))
 		}
 	}
 }
@@ -350,9 +357,9 @@ func (e *Evaluator) fullOrder(s int, dst []int32) {
 	}
 }
 
-// sortByDist sorts a leaf run by (distance, id): in place by insertion for
-// the short runs of typical topologies, by pdqsort for the long runs of a
-// big star.
+// sortByDist sorts a row or leaf run by (distance, id): in place by
+// insertion for the short rows of typical topologies, by pdqsort for the
+// long rows of a big star or a dense graph.
 func sortByDist(run []int32, dist []float64) {
 	if len(run) > 16 {
 		slices.SortFunc(run, func(a, b int32) int {

@@ -33,9 +33,12 @@ func TestZeroAllocEvaluate(t *testing.T) {
 		for v := 1; v < n; v++ {
 			star.AddEdge(0, v)
 		}
-		e.CostUncached(dense)
-		e.CostUncached(g)
-		for _, graphs := range [][]*graph.Graph{{g}, {g, dense, star}} {
+		tree := mstPlusShortest(e, 0)    // one DFS-built shared tree
+		pendant := mstPlusShortest(e, 3) // 2-core roots with pendant trees
+		for _, warm := range []*graph.Graph{dense, g, star, tree, pendant} {
+			e.CostUncached(warm)
+		}
+		for _, graphs := range [][]*graph.Graph{{g}, {g, dense, star}, {tree, pendant, star}} {
 			i := 0
 			if allocs := testing.AllocsPerRun(20, func() {
 				e.CostUncached(graphs[i%len(graphs)])
@@ -82,8 +85,9 @@ func TestZeroAllocEvaluateDelta(t *testing.T) {
 
 // poisonScratch fills every pooled buffer with values that make any stale
 // read detectable: NaN distances and loads, out-of-range node indices in
-// parent/order/hpos, the leaf-run cursors and the leaf lists (indexing
-// with one panics), affected all true. A
+// parent/order/hpos, the leaf-run cursors, the leaf lists, the sorted rows
+// and the shared-tree peel and tree slots (indexing with one panics),
+// tree slots marked built and certified, affected all true. A
 // correct evaluation fully re-initializes everything it reads, so results
 // after poisoning must stay bit-identical to a fresh evaluator's.
 func poisonScratch(e *Evaluator) {
@@ -120,6 +124,22 @@ func poisonScratch(e *Evaluator) {
 	for i := range e.csr.leafAdj {
 		e.csr.leafAdj[i] = bad
 	}
+	for i := range e.csr.sorted {
+		e.csr.sorted[i] = bad
+	}
+	for _, a := range [][]int32{e.sh.deg, e.sh.rootOf, e.sh.slotOf, e.sh.par} {
+		for i := range a {
+			a[i] = bad
+		}
+	}
+	for _, t := range e.sh.trees {
+		t.built, t.certified = true, true
+		for _, a := range [][]int32{t.parent, t.pre, t.pos, t.size} {
+			for i := range a {
+				a[i] = bad
+			}
+		}
+	}
 }
 
 // TestScratchPoisoning poisons the scratch buffers between evaluations —
@@ -139,6 +159,12 @@ func TestScratchPoisoning(t *testing.T) {
 
 		poisonScratch(ev)
 		sameEvaluation(t, "poisoned full sweep", ev.Evaluate(g), ref.Evaluate(g))
+		for _, h := range []*graph.Graph{g, mstPlusShortest(ev, 0), mstPlusShortest(ev, 2)} {
+			poisonScratch(ev)
+			if got, want := ev.CostUncached(h), ref.Evaluate(h).Total; got != want {
+				t.Fatalf("poisoned shared-tree sweep: cost %v, want %v", got, want)
+			}
+		}
 
 		// Disconnected graph: Dijkstra finalizes only one component and
 		// stops, leaving order[popped:] stale (and still poisoned).

@@ -61,14 +61,17 @@ func PartialKey(base string, lines int) string {
 }
 
 // parsePartialKey splits a checkpoint key into its base key and line
-// count; ok is false for keys outside the partial namespace.
+// count; ok is false for keys outside the partial namespace. Only the
+// canonical spelling PartialKey(base, lines) is a checkpoint: "<base>.part-07"
+// is an ordinary key, so no two files can claim the same checkpoint.
 func parsePartialKey(key string) (base string, lines int, ok bool) {
 	i := strings.LastIndex(key, partialSep)
 	if i <= 0 {
 		return "", 0, false
 	}
-	n, err := strconv.Atoi(key[i+len(partialSep):])
-	if err != nil || n < 1 {
+	digits := key[i+len(partialSep):]
+	n, err := strconv.Atoi(digits)
+	if err != nil || n < 1 || strconv.Itoa(n) != digits {
 		return "", 0, false
 	}
 	return key[:i], n, true
@@ -163,9 +166,10 @@ func (s *Store) SetLatencyHistograms(get, put *telemetry.Histogram) {
 
 // validKey reports whether key is safe as a file name in the bucketed
 // layout: at least 2 characters, all from [a-z0-9._-] (content hashes and
-// their suffixes), so keys can never traverse out of the store.
+// their suffixes), not starting with '.', so keys can never traverse out
+// of the store: the bucket key[:2] is never "..".
 func validKey(key string) bool {
-	if len(key) < 2 {
+	if len(key) < 2 || key[0] == '.' {
 		return false
 	}
 	for i := 0; i < len(key); i++ {

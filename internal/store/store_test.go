@@ -118,7 +118,7 @@ func TestInvalidKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"", "a", "UPPER", "has/slash", "../escape", "sp ace"} {
+	for _, key := range []string{"", "a", "UPPER", "has/slash", "../escape", "sp ace", "..", "..escape", ".hidden"} {
 		if err := s.Put(key, []byte("x")); err == nil {
 			t.Errorf("Put(%q) accepted an invalid key", key)
 		}
@@ -414,5 +414,41 @@ func TestRestartPreservesLRUOrder(t *testing.T) {
 	}
 	if _, err := s2.Get("oldkey-aaa"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("oldest key should be evicted first after restart, got %v", err)
+	}
+}
+
+// TestNewestPartialRejectsNonCanonicalLines checks that a checkpoint name
+// with a non-canonical line count is not a checkpoint: "<base>.part-07" is
+// not PartialKey(base, 7), so it is never resumed from, and beside the
+// canonical "<base>.part-7" the canonical file is the one served.
+func TestNewestPartialRejectsNonCanonicalLines(t *testing.T) {
+	dir := t.TempDir()
+	base := "ab12cd-c8-a1"
+	if err := os.MkdirAll(filepath.Join(dir, base[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seven := []byte("0\n1\n2\n3\n4\n5\n6\n")
+	write := func(name string, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, base[:2], name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(base+".part-07", seven)
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, lines, err := s.NewestPartial(base); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("NewestPartial = lines %d, %v; want ErrNotFound", lines, err)
+	}
+	canonical := []byte("a\nb\nc\nd\ne\nf\ng\n")
+	write(PartialKey(base, 7), canonical)
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, lines, err := s.NewestPartial(base)
+	if err != nil || lines != 7 || string(data) != string(canonical) {
+		t.Fatalf("NewestPartial = %q, %d, %v; want the canonical checkpoint", data, lines, err)
 	}
 }
