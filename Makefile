@@ -42,16 +42,19 @@ bench-smoke:
 	$(GO) run ./cmd/coldbench -trials 4 -n 16 -pop 24 -gens 12 -json BENCH_COLD.json ensemble breeding bases csr
 
 # Short fuzzing smoke on the evaluator equivalence targets (including the
-# shared-tree cost sweep), the screened greedy heuristics, crossover's draw
-# skipping against the per-pair oracle, the artifact store's open over an
-# untrusted directory, the coldd request-config path, the artifact decoder
-# and the `coldstats trace` parser (CI runs this; raise FUZZTIME locally for a
-# longer run). Corpora live under <package>/testdata/fuzz/.
+# shared-tree cost sweep), the hub-level cost estimate against the exact
+# cost, the hub-priced greedy heuristics against their exact oracle,
+# crossover's draw skipping against the per-pair oracle, the artifact
+# store's open over an untrusted directory, the coldd request-config path,
+# the artifact decoder and the `coldstats trace` parser (CI runs this;
+# raise FUZZTIME locally for a longer run). Corpora live under
+# <package>/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzEvaluateDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzSharedTrees -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzHubTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/heuristics -run '^$$' -fuzz FuzzGreedyScreen -fuzztime $(FUZZTIME)

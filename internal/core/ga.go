@@ -607,7 +607,8 @@ func (ga *runner) deltaEligible(m int) []bool {
 // the child by edge-set difference — the lineage base for delta evaluation
 // (crossover children often drift past the edge budget, in which case
 // recordLineage drops them; picking the closer parent keeps the ones that
-// inherited most links from a single parent within it). The comparison
+// inherited most links from a single parent within it), or -1 when the
+// delta path is off and there is no lineage to record. The comparison
 // consumes no randomness, so it cannot change the offspring themselves.
 func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) (*graph.Graph, int) {
 	a, b := ga.s.TournamentA, ga.s.TournamentB
@@ -632,6 +633,9 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 	sc.parentW, sc.parentG = weights, pgs
 	child := inheritLinks(ga.n, pgs, weights, stats.WeightTotal(weights), rng)
 	child.Connect(ga.e.Dist())
+	if ga.lineage == nil {
+		return child, -1 // no delta path: recordLineage would drop the base
+	}
 	best, bestD := parents[0], child.DiffCount(pop[parents[0]])
 	for _, pi := range parents[1:] {
 		if d := child.DiffCount(pop[pi]); d < bestD {

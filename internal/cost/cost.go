@@ -34,9 +34,8 @@
 // made once per graph and per root — no rounding tie in any sorted row, and
 // a slack on every 2-core link off the root's tree — prove the spliced
 // trees are exactly the ones Dijkstra would find, and where either fails
-// the sources are routed one by one as before. Evaluate, the delta path
-// and PathTable.Fill keep the per-source sweep, since they need each
-// source's own distances.
+// the sources are routed one by one as before. Evaluate and the delta path
+// keep the per-source sweep, since they need each source's own distances.
 //
 // For the GA's small edits (single-link mutations) the incremental
 // CostDelta/EvaluateDelta path re-runs Dijkstra only from sources whose

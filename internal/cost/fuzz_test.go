@@ -7,6 +7,8 @@ package cost
 //
 //   FuzzDijkstraEquivalence — evaluator routing and loads vs the reference
 //   FuzzEvaluateDelta       — incremental delta walk vs fresh full sweeps
+//   FuzzHubTable            — hub-level estimates vs exact Cost, within the
+//                             documented rounding bound
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/. CI runs each target for a
 // short -fuzztime as a smoke job (make fuzz); run locally with e.g.
@@ -14,6 +16,7 @@ package cost
 //	go test ./internal/cost -run '^$' -fuzz FuzzEvaluateDelta -fuzztime 30s
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -122,6 +125,64 @@ func FuzzEvaluateDelta(f *testing.F) {
 				}
 			}
 			g = child
+		}
+	})
+}
+
+// FuzzHubTable: for any context, hub set (in any order) and hub links, the
+// HubTable's estimate and its add-one-link estimates must price the
+// hub-and-leaves graph within estimateRelErr of the exact Cost, +Inf exactly
+// when it is disconnected, and EstimateAddLink must equal AddLink followed
+// by Estimate bit for bit. data[0] sizes the context, the next bytes mark
+// the hubs (one bit per PoP), rot rotates their order, and links marks hub
+// pairs to link, then the pairs added one at a time.
+func FuzzHubTable(f *testing.F) {
+	f.Add(int64(1), []byte{10, 0x25, 0x01}, uint8(0), []byte{0x0f, 0x30})
+	f.Add(int64(7), []byte{24, 0xff, 0xff, 0xff, 0xff}, uint8(3), []byte{0x81, 0x42, 0x24, 0x18})
+	f.Add(int64(-2), []byte{0, 0x03}, uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte, rot uint8, links []byte) {
+		if len(data) == 0 {
+			return
+		}
+		e := fuzzContext(t, seed, data[0], Options{})
+		n := e.N()
+		var hubs []int
+		for v := 0; v < n; v++ {
+			if k := 1 + v/8; k < len(data) && data[k]&(1<<(v%8)) != 0 {
+				hubs = append(hubs, v)
+			}
+		}
+		if len(hubs) == 0 {
+			hubs = []int{0}
+		}
+		r := int(rot) % len(hubs)
+		hubs = append(hubs[r:], hubs[:r]...)
+		bit := func(k int) bool { return k/8 < len(links) && links[k/8]&(1<<(k%8)) != 0 }
+		var edges, later [][2]int
+		k := 0
+		for i := range hubs {
+			for j := i + 1; j < len(hubs); j++ {
+				if pair := [2]int{hubs[i], hubs[j]}; bit(k) {
+					edges = append(edges, pair)
+				} else if bit(k + 1) {
+					later = append(later, pair)
+				}
+				k += 2
+			}
+		}
+		g := hubGraph(e, hubs, edges)
+		tab := e.NewHubTable()
+		tab.Fill(hubs, edges)
+		est, ok := tab.Estimate()
+		checkEstimate(t, "fill", e, g, est, ok)
+		for _, pair := range later {
+			est, ok := tab.EstimateAddLink(pair[0], pair[1])
+			g.AddEdge(pair[0], pair[1])
+			checkEstimate(t, "add-link estimate", e, g, est, ok)
+			tab.AddLink(pair[0], pair[1])
+			if after, afterOK := tab.Estimate(); math.Float64bits(after) != math.Float64bits(est) || afterOK != ok {
+				t.Fatalf("EstimateAddLink %v (%v), AddLink+Estimate %v (%v)", est, ok, after, afterOK)
+			}
 		}
 	})
 }

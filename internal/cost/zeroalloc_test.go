@@ -191,30 +191,24 @@ func TestScratchPoisoning(t *testing.T) {
 	})
 }
 
-// TestZeroAllocPathTable pins the add-one-link screen's steady state —
-// PathTable.Fill (one all-sources sweep over the pooled CSR and Dijkstra
-// scratch), AddLink and EstimateAddLink — at zero allocations.
-func TestZeroAllocPathTable(t *testing.T) {
+// TestZeroAllocHubTable pins the hub-level pricing's steady state — Fill,
+// Estimate, EstimateAddLink and AddLink — at zero allocations.
+func TestZeroAllocHubTable(t *testing.T) {
 	const n = 30
 	e := optionsContext(t, n, 4, Options{})
-	rng := rand.New(rand.NewSource(5))
-	base := randomConnected(rng, n, 4.0/n, e.Dist())
-	tab := e.NewPathTable()
-	tab.Fill(base)
+	hubs := []int{3, 17, 8, 25, 0}
+	edges := [][2]int{{3, 17}, {17, 8}, {3, 25}}
+	tab := e.NewHubTable()
+	tab.Fill(hubs, edges)
 	if allocs := testing.AllocsPerRun(20, func() {
-		tab.Fill(base)
-		for b := 1; b < n; b++ {
-			if !base.HasEdge(0, b) {
-				tab.EstimateAddLink(0, b)
-			}
+		tab.Fill(hubs, edges)
+		tab.Estimate()
+		for _, h := range hubs[:4] {
+			tab.EstimateAddLink(h, 0)
 		}
-		for b := 1; b < n; b++ {
-			if !base.HasEdge(0, b) {
-				tab.AddLink(0, b)
-				break
-			}
-		}
+		tab.AddLink(8, 0)
+		tab.Estimate()
 	}); allocs != 0 {
-		t.Fatalf("steady-state PathTable fill/estimate/extend allocates %v objects/op, want 0", allocs)
+		t.Fatalf("steady-state HubTable fill/estimate/extend allocates %v objects/op, want 0", allocs)
 	}
 }

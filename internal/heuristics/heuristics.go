@@ -46,88 +46,162 @@ func Clique(e *cost.Evaluator) Result {
 // Star returns the best single-hub star: every greedy algorithm's starting
 // point, and the optimal topology when the hub cost k3 dominates.
 func Star(e *cost.Evaluator) Result {
-	n := e.N()
-	best := Result{Name: "star", Cost: math.Inf(1)}
-	for h := 0; h < n; h++ {
-		g := starAt(n, h)
-		if c := e.Cost(g); c < best.Cost {
-			best.Graph = g
-			best.Cost = c
+	return newSeeder(e).bestStar()
+}
+
+// screenSlack is the relative half-width ε of a price's estimate interval.
+// It is a fixed constant, far above the hub table's rounding error (below
+// 6e-11 for every context the table estimates; DESIGN.md, "Hub-level
+// pricing"), so an interval always holds the exact cost.
+const screenSlack = 1e-9
+
+// price is a candidate topology's cost as an interval [lo, hi] that holds
+// its exact Cost; lo == hi once the exact cost is known. The candidate is
+// the hub-and-leaves graph of hubs with the links edges, plus link when its
+// two ends differ.
+type price struct {
+	lo, hi float64
+	hubs   []int
+	edges  [][2]int
+	link   [2]int
+}
+
+// none is the price of no candidate: exactly +Inf, so any connected
+// candidate beats it.
+var none = price{lo: math.Inf(1), hi: math.Inf(1)}
+
+// setEstimate sets p's interval from a hub-table estimate: est·(1±ε), or
+// exactly +Inf for a disconnected candidate, or unbounded when there is no
+// estimate.
+func (p *price) setEstimate(est float64, ok bool) {
+	switch {
+	case !ok:
+		p.lo, p.hi = math.Inf(-1), math.Inf(1)
+	case math.IsInf(est, 1):
+		p.lo, p.hi = est, est
+	default:
+		p.lo, p.hi = est*(1-screenSlack), est*(1+screenSlack)
+	}
+}
+
+// seeder is the state the hub-growing heuristics share: the evaluator, a
+// hub table and the greedy wiring's link marks. Like the evaluator, it is
+// not safe for concurrent use.
+type seeder struct {
+	e      *cost.Evaluator
+	tab    *cost.HubTable
+	linked []bool
+	// nearTies counts the comparisons less could not decide from the
+	// intervals, so it priced both sides exactly; tests read it.
+	nearTies int
+}
+
+func newSeeder(e *cost.Evaluator) *seeder {
+	return &seeder{e: e, tab: e.NewHubTable(), linked: make([]bool, e.N())}
+}
+
+// priced returns the price of the candidate hubs with the links edges,
+// estimated from a fresh table fill.
+func (s *seeder) priced(hubs []int, edges [][2]int) price {
+	p := price{hubs: hubs, edges: edges}
+	s.tab.Fill(hubs, edges)
+	p.setEstimate(s.tab.Estimate())
+	return p
+}
+
+// graph builds p's candidate topology.
+func (s *seeder) graph(p *price) *graph.Graph {
+	g := assemble(s.e, p.hubs, p.edges)
+	if p.link[0] != p.link[1] {
+		g.AddEdge(p.link[0], p.link[1])
+	}
+	return g
+}
+
+// exact returns p's exact Cost, computing it on first use.
+func (s *seeder) exact(p *price) float64 {
+	if p.lo != p.hi {
+		c := s.e.Cost(s.graph(p))
+		p.lo, p.hi = c, c
+	}
+	return p.lo
+}
+
+// less reports whether a's exact cost is below b's. It decides from the
+// intervals when they separate and prices both exactly only on a near tie,
+// so every decision equals a strict < between exact costs.
+func (s *seeder) less(a, b *price) bool {
+	switch {
+	case a.hi < b.lo:
+		return true
+	case b.hi <= a.lo:
+		return false
+	}
+	s.nearTies++
+	return s.exact(a) < s.exact(b)
+}
+
+// result returns p's topology with its exact cost; a price with no
+// candidate (an empty context, or no permutations) has no graph.
+func (s *seeder) result(name string, p *price) Result {
+	if p.hubs == nil {
+		return Result{Name: name, Cost: math.Inf(1)}
+	}
+	g := s.graph(p)
+	c := p.lo
+	if p.lo != p.hi {
+		c = s.e.Cost(g)
+	}
+	return Result{Name: name, Graph: g, Cost: c}
+}
+
+// bestStar returns Star's result.
+func (s *seeder) bestStar() Result {
+	best := s.star()
+	return s.result("star", &best)
+}
+
+// star returns the price of the best single-hub star (the first hub on
+// ties).
+func (s *seeder) star() price {
+	best := none
+	for h := 0; h < s.e.N(); h++ {
+		if p := s.priced([]int{h}, nil); s.less(&p, &best) {
+			best = p
 		}
 	}
 	return best
 }
 
-// starHub returns Star(e) and its hub: the node linked to every other
-// (the lowest such index when n == 2).
-func starHub(e *cost.Evaluator) (Result, int) {
-	n := e.N()
-	start := Star(e)
-	for v := 0; v < n; v++ {
-		if start.Graph.Degree(v) == n-1 {
-			return start, v
-		}
-	}
-	return start, -1
-}
-
-func starAt(n, hub int) *graph.Graph {
-	g := graph.New(n)
-	for v := 0; v < n; v++ {
-		if v != hub {
-			g.AddEdge(hub, v)
-		}
-	}
-	return g
-}
-
 // hubWiring decides how a newly promoted hub connects to the existing hubs.
 // It receives the hub set including the new hub as the last element and
-// must return the inter-hub edges for the whole hub set.
-type hubWiring func(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int
+// the existing hubs' links prev, and returns the priced candidate with the
+// inter-hub links for the whole hub set.
+type hubWiring func(s *seeder, hubs []int, prev [][2]int, newHub int) price
 
 // growHubs runs the shared greedy loop: starting from the best single-hub
-// star, promote the cost-reducing leaf (chosen by pick) until no promotion
-// helps. pick receives the current state and returns the best candidate
-// hub with its wired graph and cost, or ok=false when no candidate
-// improves.
-func growHubs(name string, e *cost.Evaluator, wire hubWiring) Result {
-	n := e.N()
-	start, hub0 := starHub(e)
-	if n == 1 {
-		return Result{Name: name, Graph: graph.New(1), Cost: e.Cost(graph.New(1))}
-	}
-	hubs := []int{hub0}
-	var hubEdges [][2]int
-	cur := start
-	cur.Name = name
-	for len(hubs) < n {
-		bestC := cur.Cost
-		var bestG *graph.Graph
-		var bestHubs []int
-		var bestEdges [][2]int
+// star, promote the leaf whose wired candidate costs least, while that
+// lowers the cost (the first such leaf on ties).
+func (s *seeder) growHubs(name string, wire hubWiring) Result {
+	n := s.e.N()
+	cur := s.star()
+	for len(cur.hubs) < n {
+		best, grown := cur, false
 		for v := 0; v < n; v++ {
-			if contains(hubs, v) {
+			if contains(cur.hubs, v) {
 				continue
 			}
-			cand := append(append([]int(nil), hubs...), v)
-			edges := wire(e, cand, hubEdges, v)
-			g := assemble(e, cand, edges)
-			if c := e.Cost(g); c < bestC {
-				bestC = c
-				bestG = g
-				bestHubs = cand
-				bestEdges = edges
+			cand := append(append([]int(nil), cur.hubs...), v)
+			if p := wire(s, cand, cur.edges, v); s.less(&p, &best) {
+				best, grown = p, true
 			}
 		}
-		if bestG == nil {
+		cur = best
+		if !grown {
 			break // no promotion reduces cost: terminate
 		}
-		cur = Result{Name: name, Graph: bestG, Cost: bestC}
-		hubs = bestHubs
-		hubEdges = bestEdges
 	}
-	return cur
+	return s.result(name, &cur)
 }
 
 // assemble builds the network for a hub set: the given inter-hub edges plus
@@ -146,7 +220,8 @@ func assemble(e *cost.Evaluator, hubs []int, hubEdges [][2]int) *graph.Graph {
 	return g
 }
 
-// nearest returns the hub closest to v (lowest index on ties).
+// nearest returns the hub closest to v: the first in hubs on ties, the rule
+// cost.HubTable.Fill shares.
 func nearest(dist [][]float64, v int, hubs []int) int {
 	best, bestD := hubs[0], math.Inf(1)
 	for _, h := range hubs {
@@ -169,134 +244,106 @@ func contains(xs []int, v int) bool {
 	return false
 }
 
-// Complete grows hubs wired as a clique: each new hub links to all existing
-// hubs ("the hubs form a completely connected graph").
-func Complete(e *cost.Evaluator) Result {
-	return growHubs("complete", e, func(_ *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
-		var edges [][2]int
-		for i := 0; i < len(hubs); i++ {
-			for j := i + 1; j < len(hubs); j++ {
-				edges = append(edges, [2]int{hubs[i], hubs[j]})
-			}
+// cliqueEdges links every pair of hubs ("the hubs form a completely
+// connected graph").
+func cliqueEdges(hubs []int) [][2]int {
+	var edges [][2]int
+	for i := 0; i < len(hubs); i++ {
+		for j := i + 1; j < len(hubs); j++ {
+			edges = append(edges, [2]int{hubs[i], hubs[j]})
 		}
-		return edges
-	})
+	}
+	return edges
+}
+
+// mstEdges links the hubs by a minimum spanning tree over their distances.
+func mstEdges(e *cost.Evaluator, hubs []int) [][2]int {
+	k := len(hubs)
+	w := make([][]float64, k)
+	for i := range w {
+		w[i] = make([]float64, k)
+		for j := range w[i] {
+			w[i][j] = e.Dist()[hubs[i]][hubs[j]]
+		}
+	}
+	t := graph.MST(k, w)
+	var edges [][2]int
+	for _, te := range t.Edges() {
+		edges = append(edges, [2]int{hubs[te.I], hubs[te.J]})
+	}
+	return edges
+}
+
+// Complete grows hubs wired as a clique: each new hub links to all existing
+// hubs.
+func Complete(e *cost.Evaluator) Result {
+	return newSeeder(e).growHubs("complete", cliqueWiring)
+}
+
+// cliqueWiring is Complete's hubWiring.
+func cliqueWiring(s *seeder, hubs []int, _ [][2]int, _ int) price {
+	return s.priced(hubs, cliqueEdges(hubs))
 }
 
 // HubMST grows hubs wired as a minimum spanning tree over the hub set
 // (the paper's "MST" greedy variant).
 func HubMST(e *cost.Evaluator) Result {
-	return growHubs("hub-mst", e, func(e *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
-		k := len(hubs)
-		w := make([][]float64, k)
-		for i := range w {
-			w[i] = make([]float64, k)
-			for j := range w[i] {
-				w[i][j] = e.Dist()[hubs[i]][hubs[j]]
-			}
-		}
-		t := graph.MST(k, w)
-		var edges [][2]int
-		for _, te := range t.Edges() {
-			edges = append(edges, [2]int{hubs[te.I], hubs[te.J]})
-		}
-		return edges
-	})
+	return newSeeder(e).growHubs("hub-mst", mstWiring)
+}
+
+// mstWiring is HubMST's hubWiring.
+func mstWiring(s *seeder, hubs []int, _ [][2]int, _ int) price {
+	return s.priced(hubs, mstEdges(s.e, hubs))
 }
 
 // GreedyAttachment grows hubs wired greedily: the new hub first takes the
 // single cheapest connecting link, then keeps adding links to other hubs
 // while each addition reduces total cost.
 func GreedyAttachment(e *cost.Evaluator) Result {
-	return growHubs("greedy-attach", e, newGreedyScreen(e).wire)
-}
-
-// screenSlack is the relative tolerance ε of the greedy wiring's candidate
-// screen. It is a fixed constant, far above the estimate's rounding error
-// (below 1.2e-10, see cost.PathTable.EstimateAddLink), so the screen never
-// drops a candidate that could win.
-const screenSlack = 1e-9
-
-// greedyScreen is the reusable state of the greedy wiring shared by
-// GreedyAttachment and RandomGreedy: the current base graph's path table,
-// per-candidate cost estimates and link marks.
-type greedyScreen struct {
-	tab    *cost.PathTable
-	est    []float64
-	linked []bool
-}
-
-func newGreedyScreen(e *cost.Evaluator) *greedyScreen {
-	n := e.N()
-	return &greedyScreen{tab: e.NewPathTable(), est: make([]float64, n), linked: make([]bool, n)}
+	return newSeeder(e).growHubs("greedy-attach", (*seeder).wire)
 }
 
 // wire keeps prev inter-hub edges and attaches newHub greedily: first the
 // single link that minimizes network cost, then further links while each
-// decreases it.
-//
-// Every candidate is the current base graph plus one link {h, newHub}, so
-// each phase first estimates all candidates from the base's path table
-// (cost.PathTable.EstimateAddLink, O(n²) and no Dijkstra) and runs the
-// exact, memoized Cost only on those whose estimate could still win: within
-// 2ε of the smallest estimate and, in the optional phases, within ε of the
-// cost to beat. The estimate is within ε of the exact cost, so the true
-// winner and every exact tie pass the screen, and the unchanged selection
-// rule (strict <, first candidate wins) picks the same link as costing
-// every candidate would. When no estimate exists (a non-linear link cost)
-// every candidate passes.
-func (gs *greedyScreen) wire(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int {
+// decreases it. It fills the hub table once for the hubs and prev, prices
+// each candidate link from it (cost.HubTable.EstimateAddLink) and extends
+// it by every accepted link, and returns the final graph's price.
+func (s *seeder) wire(hubs []int, prev [][2]int, newHub int) price {
 	edges := append([][2]int(nil), prev...)
 	others := hubs[:len(hubs)-1]
-	base := assemble(e, hubs, edges)
-	gs.tab.Fill(base)
-	clear(gs.linked)
-	// The mandatory first link has no cost to beat; each optional link must
-	// beat the cost of the graph before it, carried forward from the pick.
-	h, c := gs.pick(e, base, others, newHub, math.Inf(1))
-	for h >= 0 {
+	s.tab.Fill(hubs, edges)
+	clear(s.linked)
+	// The mandatory first link has nothing to beat; each optional link must
+	// beat the graph before it.
+	cur := none
+	for {
+		var h int
+		if cur, h = s.pick(hubs, edges, others, newHub, cur); h < 0 {
+			return cur
+		}
 		edges = append(edges, [2]int{h, newHub})
-		base.AddEdge(h, newHub)
-		gs.linked[h] = true
-		gs.tab.AddLink(h, newHub)
-		h, c = gs.pick(e, base, others, newHub, c)
+		s.linked[h] = true
+		s.tab.AddLink(h, newHub)
+		cur.edges, cur.link = edges, [2]int{}
 	}
-	return edges
 }
 
-// pick returns the unlinked hub h among others whose link {h, newHub}
-// gives base its lowest cost below bound (the first such hub on ties), with
-// that cost, or -1 when no candidate beats bound.
-func (gs *greedyScreen) pick(e *cost.Evaluator, base *graph.Graph, others []int, newHub int, bound float64) (int, float64) {
-	cut, minEst := math.Inf(1), math.Inf(1)
-	screened := true
-	for i, h := range others {
-		if gs.linked[h] {
+// pick returns the cheapest candidate hubs + edges + {h, newHub} over the
+// unlinked hubs h among others, if it beats bound (the first such h on
+// ties), with that h; otherwise bound and -1.
+func (s *seeder) pick(hubs []int, edges [][2]int, others []int, newHub int, bound price) (price, int) {
+	best, bestH := bound, -1
+	for _, h := range others {
+		if s.linked[h] {
 			continue
 		}
-		est, ok := gs.tab.EstimateAddLink(h, newHub)
-		if !ok {
-			screened = false
-			break
-		}
-		gs.est[i] = est
-		minEst = min(minEst, est)
-	}
-	if screened {
-		cut = min(minEst*(1+2*screenSlack), bound*(1+screenSlack))
-	}
-	bestH, bestC := -1, bound
-	for i, h := range others {
-		if gs.linked[h] || screened && gs.est[i] > cut {
-			continue
-		}
-		g := base.Clone()
-		g.AddEdge(h, newHub)
-		if c := e.Cost(g); c < bestC {
-			bestH, bestC = h, c
+		p := price{hubs: hubs, edges: edges, link: [2]int{h, newHub}}
+		p.setEstimate(s.tab.EstimateAddLink(h, newHub))
+		if s.less(&p, &best) {
+			best, bestH = p, h
 		}
 	}
-	return bestH, bestC
+	return best, bestH
 }
 
 // RandomGreedy runs the paper's Random Greedy algorithm: iterate over PoPs
@@ -304,39 +351,34 @@ func (gs *greedyScreen) pick(e *cost.Evaluator, base *graph.Graph, others []int,
 // GreedyAttachment) whenever that reduces cost; repeat for perms
 // permutations and keep the best network found.
 func RandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result {
-	n := e.N()
-	best := Result{Name: "random-greedy", Cost: math.Inf(1)}
-	if n == 1 {
+	return newSeeder(e).randomGreedy(rng, perms)
+}
+
+func (s *seeder) randomGreedy(rng *rand.Rand, perms int) Result {
+	n := s.e.N()
+	if n == 1 { // return before drawing any permutation from rng
 		g := graph.New(1)
-		return Result{Name: "random-greedy", Graph: g, Cost: e.Cost(g)}
+		return Result{Name: "random-greedy", Graph: g, Cost: s.e.Cost(g)}
 	}
 	// Every permutation starts from the same best star.
-	start, hub0 := starHub(e)
-	gs := newGreedyScreen(e)
+	start := s.star()
+	best := none
 	for p := 0; p < perms; p++ {
-		hubs := []int{hub0}
-		var hubEdges [][2]int
-		cur := start.Graph
-		curC := start.Cost
+		cur := start
 		for _, v := range rng.Perm(n) {
-			if contains(hubs, v) {
+			if contains(cur.hubs, v) {
 				continue
 			}
-			cand := append(append([]int(nil), hubs...), v)
-			edges := gs.wire(e, cand, hubEdges, v)
-			g := assemble(e, cand, edges)
-			if c := e.Cost(g); c < curC {
-				cur, curC = g, c
-				hubs = cand
-				hubEdges = edges
+			cand := append(append([]int(nil), cur.hubs...), v)
+			if c := s.wire(cand, cur.edges, v); s.less(&c, &cur) {
+				cur = c
 			}
 		}
-		if curC < best.Cost {
-			best.Graph = cur
-			best.Cost = curC
+		if s.less(&cur, &best) {
+			best = cur
 		}
 	}
-	return best
+	return s.result("random-greedy", &best)
 }
 
 // DefaultRandomGreedyPerms is the number of permutations RandomGreedy uses
@@ -346,14 +388,18 @@ const DefaultRandomGreedyPerms = 10
 // All runs every heuristic and returns the results, suitable for seeding
 // the genetic algorithm (the paper's "initialised GA").
 func All(e *cost.Evaluator, rng *rand.Rand) []Result {
+	return newSeeder(e).all(rng)
+}
+
+func (s *seeder) all(rng *rand.Rand) []Result {
 	return []Result{
-		PureMST(e),
-		Clique(e),
-		Star(e),
-		Complete(e),
-		HubMST(e),
-		GreedyAttachment(e),
-		RandomGreedy(e, rng, DefaultRandomGreedyPerms),
+		PureMST(s.e),
+		Clique(s.e),
+		s.bestStar(),
+		s.growHubs("complete", cliqueWiring),
+		s.growHubs("hub-mst", mstWiring),
+		s.growHubs("greedy-attach", (*seeder).wire),
+		s.randomGreedy(rng, DefaultRandomGreedyPerms),
 	}
 }
 

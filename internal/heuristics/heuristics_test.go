@@ -275,11 +275,19 @@ func BenchmarkComplete(b *testing.B) {
 // BenchmarkAllPaperN30 times the GA's seeding step at the paper's scale:
 // every heuristic on a fresh n=30 context with the default parameters, so
 // each iteration starts from an empty memoization cache, as a request does.
+// It reports the all-sources cost sweeps and the memoized Cost lookups
+// each seeding takes (sweeps/op, lookups/op).
 func BenchmarkAllPaperN30(b *testing.B) {
+	var sweeps, lookups uint64
 	for i := 0; i < b.N; i++ {
 		e := ctx(b, 30, cost.DefaultParams(), int64(i%8))
 		All(e, rand.New(rand.NewSource(int64(i))))
+		st := e.Stats()
+		sweeps += st.FullSweeps
+		lookups += st.CacheHits + st.CacheMisses
 	}
+	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
+	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 }
 
 func BenchmarkBruteForceN6(b *testing.B) {

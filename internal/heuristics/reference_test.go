@@ -1,10 +1,12 @@
 package heuristics
 
-// The oracle for the screened greedy wiring: the textbook greedy loop that
-// prices every candidate link with a full Cost evaluation, and a Random
-// Greedy driver over it that recomputes its start star in every
-// permutation. referenceAll runs every heuristic with them; the screened
-// production code must reproduce its results bit for bit.
+// The oracle for hub-level pricing: the textbook heuristics that price
+// every candidate with a full Cost evaluation — the best-star scan, the
+// hub-growing loop, the greedy wiring, and a Random Greedy driver over it
+// that recomputes its start star in every permutation. referenceAll runs
+// every heuristic with them; the production code, which prices from
+// cost.HubTable estimates and runs Cost only on near ties, must reproduce
+// its results bit for bit.
 
 import (
 	"math"
@@ -12,8 +14,63 @@ import (
 	"testing"
 
 	"github.com/networksynth/cold/internal/cost"
+	"github.com/networksynth/cold/internal/geom"
 	"github.com/networksynth/cold/internal/graph"
+	"github.com/networksynth/cold/internal/traffic"
 )
+
+// referenceStar returns the best single-hub star and its hub, costing
+// every star exactly (the first hub on ties).
+func referenceStar(e *cost.Evaluator) (Result, int) {
+	n := e.N()
+	best, hub := Result{Name: "star", Cost: math.Inf(1)}, -1
+	for h := 0; h < n; h++ {
+		g := assemble(e, []int{h}, nil)
+		if c := e.Cost(g); c < best.Cost {
+			best.Graph, best.Cost, hub = g, c, h
+		}
+	}
+	return best, hub
+}
+
+// referenceWiring is hubWiring without prices: it returns the inter-hub
+// links for the whole hub set.
+type referenceWiring func(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int
+
+// referenceGrowHubs is growHubs costing every candidate exactly.
+func referenceGrowHubs(name string, e *cost.Evaluator, wire referenceWiring) Result {
+	n := e.N()
+	if n == 1 {
+		return Result{Name: name, Graph: graph.New(1), Cost: e.Cost(graph.New(1))}
+	}
+	cur, hub0 := referenceStar(e)
+	cur.Name = name
+	hubs := []int{hub0}
+	var hubEdges [][2]int
+	for len(hubs) < n {
+		bestC := cur.Cost
+		var bestG *graph.Graph
+		var bestHubs []int
+		var bestEdges [][2]int
+		for v := 0; v < n; v++ {
+			if contains(hubs, v) {
+				continue
+			}
+			cand := append(append([]int(nil), hubs...), v)
+			edges := wire(e, cand, hubEdges, v)
+			g := assemble(e, cand, edges)
+			if c := e.Cost(g); c < bestC {
+				bestC, bestG, bestHubs, bestEdges = c, g, cand, edges
+			}
+		}
+		if bestG == nil {
+			break
+		}
+		cur = Result{Name: name, Graph: bestG, Cost: bestC}
+		hubs, hubEdges = bestHubs, bestEdges
+	}
+	return cur
+}
 
 // referenceGreedyWire keeps prev inter-hub edges and attaches newHub
 // greedily, costing every candidate exactly.
@@ -61,14 +118,7 @@ func referenceRandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result 
 		return Result{Name: "random-greedy", Graph: g, Cost: e.Cost(g)}
 	}
 	for p := 0; p < perms; p++ {
-		start := Star(e)
-		hub0 := -1
-		for v := 0; v < n; v++ {
-			if start.Graph.Degree(v) == n-1 {
-				hub0 = v
-				break
-			}
-		}
+		start, hub0 := referenceStar(e)
 		hubs := []int{hub0}
 		var hubEdges [][2]int
 		cur := start.Graph
@@ -94,33 +144,41 @@ func referenceRandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result 
 	return best
 }
 
-// referenceAll is All with the unscreened greedy wiring.
+// referenceAll is All with every candidate costed exactly.
 func referenceAll(e *cost.Evaluator, rng *rand.Rand) []Result {
+	star, _ := referenceStar(e)
 	return []Result{
 		PureMST(e),
 		Clique(e),
-		Star(e),
-		Complete(e),
-		HubMST(e),
-		growHubs("greedy-attach", e, referenceGreedyWire),
+		star,
+		referenceGrowHubs("complete", e, func(_ *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
+			return cliqueEdges(hubs)
+		}),
+		referenceGrowHubs("hub-mst", e, func(e *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
+			return mstEdges(e, hubs)
+		}),
+		referenceGrowHubs("greedy-attach", e, referenceGreedyWire),
 		referenceRandomGreedy(e, rng, DefaultRandomGreedyPerms),
 	}
 }
 
 // checkAllMatchesReference runs All and referenceAll on separate
 // evaluators for the same context (so neither sees the other's memoized
-// costs) and requires equal graphs and bit-equal costs.
-func checkAllMatchesReference(t *testing.T, got, want *cost.Evaluator, seed int64) {
+// costs) and requires equal graphs and bit-equal costs. It returns how
+// many comparisons All priced exactly as near ties.
+func checkAllMatchesReference(t *testing.T, got, want *cost.Evaluator, seed int64) int {
 	t.Helper()
-	gr := All(got, rand.New(rand.NewSource(seed)))
+	s := newSeeder(got)
+	gr := s.all(rand.New(rand.NewSource(seed)))
 	wr := referenceAll(want, rand.New(rand.NewSource(seed)))
 	for i := range wr {
 		g, w := gr[i], wr[i]
 		if g.Name != w.Name || !g.Graph.Equal(w.Graph) || math.Float64bits(g.Cost) != math.Float64bits(w.Cost) {
-			t.Fatalf("%s: screened result %v (cost %v) differs from reference %s %v (cost %v)",
+			t.Fatalf("%s: hub-priced result %v (cost %v) differs from reference %s %v (cost %v)",
 				g.Name, g.Graph, g.Cost, w.Name, w.Graph, w.Cost)
 		}
 	}
+	return s.nearTies
 }
 
 // TestGreedyScreenMatchesReference: the screened greedy wiring must pick
@@ -170,6 +228,66 @@ func TestGreedyScreenMatchesReference(t *testing.T) {
 		}
 		checkAllMatchesReference(t, stepped(), stepped(), 7)
 	})
+}
+
+// pointsContext builds a context on pts with the given populations.
+func pointsContext(t testing.TB, pts []geom.Point, pops []float64, p cost.Params) *cost.Evaluator {
+	t.Helper()
+	e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestNearTiesMatchReference: on contexts built to tie — PoPs on a unit
+// grid with equal populations, where mirror-image candidates cost the same
+// up to rounding, and PoPs collapsed onto a few sites, where zero-length
+// links make distinct candidates cost exactly the same — estimate intervals
+// overlap, so less must fall back to exact costs; the results must still
+// match the exact oracle bit for bit, and the fallback must have fired.
+func TestNearTiesMatchReference(t *testing.T) {
+	params := []cost.Params{
+		cost.DefaultParams(),
+		{K0: 10, K1: 1, K2: 1e-3, K3: 10},
+		{K0: 0, K1: 1, K2: 2.5e-5, K3: 5},
+	}
+	type tieCase struct {
+		name string
+		pts  []geom.Point
+		pops []float64
+	}
+	var cases []tieCase
+	for _, side := range []int{2, 3, 4, 5} {
+		var pts []geom.Point
+		for i := 0; i < side*side; i++ {
+			pts = append(pts, geom.Point{X: float64(i % side), Y: float64(i / side)})
+		}
+		pops := make([]float64, len(pts))
+		for i := range pops {
+			pops[i] = 1
+		}
+		cases = append(cases, tieCase{"grid", pts, pops})
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, sz := range []struct{ n, sites int }{{6, 1}, {12, 3}, {20, 5}} {
+		sites := geom.NewUniform().Sample(sz.sites, rng)
+		pts := make([]geom.Point, sz.n)
+		pops := make([]float64, sz.n)
+		for i := range pts {
+			pts[i] = sites[i%sz.sites]
+			pops[i] = 1 + float64(i%2)
+		}
+		cases = append(cases, tieCase{"collapsed", pts, pops})
+	}
+	for _, c := range cases {
+		for pi, p := range params {
+			ties := checkAllMatchesReference(t, pointsContext(t, c.pts, c.pops, p), pointsContext(t, c.pts, c.pops, p), int64(pi))
+			if ties == 0 {
+				t.Errorf("%s n=%d (%v): no comparison fell back to exact costs", c.name, len(c.pts), p)
+			}
+		}
+	}
 }
 
 // FuzzGreedyScreen compares All against referenceAll on fuzzed contexts:
